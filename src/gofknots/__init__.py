@@ -84,7 +84,6 @@ from .twobridge import (
     murasugi_braid_index,
     normalize_two_bridge,
     stoimenow_form,
-    two_bridge_equiv,
 )
 from .words import (
     IDENTITY,
@@ -165,7 +164,6 @@ __all__ = [
     "standard_form",
     "stoimenow_form",
     "trace",
-    "two_bridge_equiv",
     "verify_case_analysis",
     "__version__",
 ]

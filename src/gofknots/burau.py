@@ -17,6 +17,7 @@ from .words import BraidWord, exponent_sum
 
 __all__ = [
     "IDENTITY_MATRIX",
+    "MonodromyType",
     "SL2Matrix",
     "classify_monodromy",
     "equal_in_b3",

@@ -271,7 +271,9 @@ def exception_isolation_checks() -> list[CheckResult]:
 
     Conjugacy to beta(+-1, n) is ruled out at the unique exponent-sum
     compatible n, and the lens space L(7,2) (or its mirror) is separated
-    from every L(n+-2, 1) over a wide n range.
+    from every L(n+-2, 1).  L(n+-2, 1) has order |n+-2|, which is 7 only
+    at n in {5, -9} for the + sign and n in {9, -5} for the - sign, so
+    checking those four spaces settles every n, not just n in [-40,40].
     """
     results = []
     for k, n in ((-3, 5), (3, -5)):
@@ -284,10 +286,9 @@ def exception_isolation_checks() -> list[CheckResult]:
                 CheckResult(f"beta({k},{n}) ~ beta({eps},{other_n})", False, computed)
             )
     for exceptional in (lens_space(7, 2), lens_space(7, -2)):
-        separated = all(
-            not lens_equiv(exceptional, lens_space(n + 2 * eps, 1), oriented=False)
-            for n in range(-40, 41)
-            for eps in (1, -1)
+        separated = not any(
+            lens_equiv(exceptional, lens_space(n + 2 * eps, 1), oriented=False)
+            for n, eps in ((5, 1), (-9, 1), (9, -1), (-5, -1))
         )
         results.append(
             CheckResult(
@@ -299,23 +300,34 @@ def exception_isolation_checks() -> list[CheckResult]:
     return results
 
 
+def _closure_fields(form: Optional[TwoBridgeForm], witness: Optional[Witness]) -> dict:
+    """The two-bridge form, lens space and witness fields of a closure
+    record, all None when the closure is not two-bridge."""
+    if form is None or witness is None:
+        return dict.fromkeys(
+            ("alpha", "beta", "lens_p", "lens_q", "witness_p", "witness_q", "mirrored")
+        )
+    space = lens_space_of(form)
+    p, q, mirrored = witness
+    return {
+        "alpha": form.alpha,
+        "beta": form.beta_canonical,
+        "lens_p": space.p,
+        "lens_q": space.q_canonical,
+        "witness_p": p,
+        "witness_q": q,
+        "mirrored": mirrored,
+    }
+
+
 def result_to_record(result: ClassificationResult) -> dict:
     """Flatten a ClassificationResult into its serialization record."""
-    form = result.two_bridge
-    space = result.lens_space
-    witness = result.witness
     return {
         "k": result.k,
         "n": result.n,
         "word": format_braid(result.word),
         "is_two_bridge": result.is_two_bridge,
-        "alpha": form.alpha if form else None,
-        "beta": form.beta_canonical if form else None,
-        "lens_p": space.p if space else None,
-        "lens_q": space.q_canonical if space else None,
-        "witness_p": witness[0] if witness else None,
-        "witness_q": witness[1] if witness else None,
-        "mirrored": witness[2] if witness else None,
+        **_closure_fields(result.two_bridge, result.witness),
         "label": str(result.label),
         "description": result.description,
     }

@@ -24,6 +24,7 @@ from . import __version__
 from .burau import equal_in_b3, homology_order, represent
 from .classify import (
     CheckResult,
+    _closure_fields,
     classify_gof,
     exception_isolation_checks,
     is_two_bridge_closure,
@@ -107,31 +108,9 @@ def _cmd_det(ns: argparse.Namespace) -> int:
 
 def _cmd_closure(ns: argparse.Namespace) -> int:
     hit = is_two_bridge_closure(parse_braid(ns.word))
-    if hit is None:
-        fields = [
-            ("two_bridge", False),
-            ("alpha", None),
-            ("beta", None),
-            ("lens_p", None),
-            ("lens_q", None),
-            ("witness_p", None),
-            ("witness_q", None),
-            ("mirrored", None),
-        ]
-    else:
-        form, (p, q, mirrored) = hit
-        space = lens_space_of(form)
-        fields = [
-            ("two_bridge", True),
-            ("alpha", form.alpha),
-            ("beta", form.beta_canonical),
-            ("lens_p", space.p),
-            ("lens_q", space.q_canonical),
-            ("witness_p", p),
-            ("witness_q", q),
-            ("mirrored", mirrored),
-        ]
-    for key, value in fields:
+    form, witness = hit or (None, None)
+    fields = {"two_bridge": hit is not None, **_closure_fields(form, witness)}
+    for key, value in fields.items():
         print(f"{key}: {_fmt(value)}")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 __all__ = [
     "ConwayTuple",
@@ -29,7 +29,6 @@ __all__ = [
     "murasugi_braid_index",
     "normalize_two_bridge",
     "stoimenow_form",
-    "two_bridge_equiv",
 ]
 
 ConwayTuple = tuple[int, ...]
@@ -115,11 +114,6 @@ def normalize_two_bridge(alpha: int, beta: int) -> TwoBridgeForm:
     return TwoBridgeForm(alpha, _canonical_residue(alpha, beta))
 
 
-def two_bridge_equiv(a: TwoBridgeForm, b: TwoBridgeForm) -> bool:
-    """Unoriented equivalence; canonical forms make this plain equality."""
-    return a == b
-
-
 def mirror_two_bridge(a: TwoBridgeForm) -> TwoBridgeForm:
     """The mirror image b(alpha, -beta)."""
     return normalize_two_bridge(a.alpha, -a.beta_canonical)
@@ -188,55 +182,50 @@ def lens_equiv(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool:
     return b.q_canonical == _canonical_residue(a.p, -a.q_canonical)
 
 
-def murasugi_braid_index(a: TwoBridgeForm, strictness: str = "relaxed") -> Optional[int]:
+def _standard_pairs(a: TwoBridgeForm, shift: int) -> Iterator[tuple[int, int]]:
+    """The (p, q), p, q >= 1, with alpha - shift = p(2q+1) + q, where 2q+1
+    is an odd representative in (0, alpha) of +-beta^{+-1} mod alpha.
+
+    There are at most four representatives, so at most four pairs.
+    """
+    alpha, beta = a.alpha, a.beta_canonical
+    inverse = pow(beta, -1, alpha)
+    for c in {beta, inverse, alpha - beta, alpha - inverse}:
+        if c % 2:
+            q = c // 2
+            p, rest = divmod(alpha - shift - q, c)
+            if rest == 0 and p >= 1 and q >= 1:
+                yield p, q
+
+
+def murasugi_braid_index(a: TwoBridgeForm) -> Optional[int]:
     """Braid index certificate for a two-bridge link: 2, 3, or None.
 
-    The link has braid index 2 when some odd representative of the class
-    is 1.  It has braid index 3 when an odd representative c = 2q+1
-    satisfies alpha = p(2q+1) + q or alpha - 1 = p(2q+1) + q for positive
-    integers p, q.  Under ``as-quoted`` the first clause demands p, q > 1,
-    which misses boundary families such as b(7,2) that are manifestly
-    closures of three-strand braids; ``relaxed`` (the default) lowers the
-    bound to p, q >= 1 and certifies every closure of
-    standard_form(p, q) with p, q >= 1.
+    The link has braid index 2 when 1 is an odd representative of the
+    class, that is beta = +-1 mod alpha.  It has braid index 3 when an odd
+    representative c = 2q+1 satisfies alpha = p(2q+1) + q or
+    alpha - 1 = p(2q+1) + q for integers p, q >= 1; the first clause
+    certifies every closure of standard_form(p, q) with p, q >= 1,
+    boundary families such as b(7,2) included.
     """
-    if strictness not in ("as-quoted", "relaxed"):
-        raise ValueError(f"unknown strictness {strictness!r}")
-    alpha, beta = a.alpha, a.beta_canonical
-    if alpha == 1:
+    if a.alpha == 1:
         return None  # the unknot has braid index 1
-    inverse = pow(beta, -1, alpha)
-    representatives = {beta, inverse, (alpha - beta) % alpha, (alpha - inverse) % alpha}
-    odd_reps = sorted(r for r in representatives if r % 2 == 1 and 0 < r < alpha)
-    if 1 in odd_reps:
+    if a.beta_canonical in (1, a.alpha - 1):
         return 2
-    for c in odd_reps:
-        q = (c - 1) // 2
-        if (alpha - q) % c == 0:
-            p = (alpha - q) // c
-            bound = 1 if strictness == "as-quoted" else 0
-            if p > bound and q > bound:
-                return 3
-        if (alpha - 1 - q) % c == 0:
-            p = (alpha - 1 - q) // c
-            if p >= 1 and q >= 1:
-                return 3
+    if any(_standard_pairs(a, 0)) or any(_standard_pairs(a, 1)):
+        return 3
     return None
 
 
 def stoimenow_form(a: TwoBridgeForm) -> Optional[ConwayTuple]:
-    """Search for a Conway tuple (p, 2, q), p, q in [1, alpha], whose
-    fraction normalizes to ``a`` or to its mirror.
+    """The least Conway tuple (p, 2, q), p, q >= 1, whose fraction
+    normalizes to ``a`` or to its mirror, or None.
 
-    Returns the lexicographically least such tuple, or None.  Links whose
-    only three-entry notations need negative entries, such as the
-    figure-eight class b(5,2), have none.
+    (p, 2, q) evaluates to (p(2q+1) + q)/(2q+1) in lowest terms, and
+    alpha = p(2q+1) + q > 2q+1, so 2q+1 is an odd representative in
+    (0, alpha) of +-beta^{+-1} mod alpha: the candidates are closed-form,
+    at most four.  Links whose only three-entry notations need negative
+    entries, such as the figure-eight class b(5,2), have none.
     """
-    mirrored = mirror_two_bridge(a)
-    for p in range(1, a.alpha + 1):
-        for q in range(1, a.alpha + 1):
-            numerator, denominator = fraction_from_conway((p, 2, q))
-            form = normalize_two_bridge(numerator, denominator)
-            if two_bridge_equiv(form, a) or two_bridge_equiv(form, mirrored):
-                return (p, 2, q)
-    return None
+    pair = min(_standard_pairs(a, 0), default=None)
+    return None if pair is None else (pair[0], 2, pair[1])

@@ -1,6 +1,7 @@
 """Conway fractions, two-bridge normal forms, lens spaces, braid indices."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,8 +18,16 @@ from gofknots.twobridge import (
     murasugi_braid_index,
     normalize_two_bridge,
     stoimenow_form,
-    two_bridge_equiv,
 )
+
+
+# every canonical b(alpha, beta) with alpha <= 60, the unknot included
+CANONICAL_FORMS = [TwoBridgeForm(1, 0)] + [
+    TwoBridgeForm(alpha, beta)
+    for alpha in range(2, 61)
+    for beta in range(1, alpha)
+    if gcd(alpha, beta) == 1 and beta <= pow(beta, -1, alpha)
+]
 
 
 class TestFractionFromConway:
@@ -112,10 +121,8 @@ class TestNormalize:
             normalize_two_bridge(6, 3)
 
     def test_equiv_is_equality_of_normal_forms(self):
-        assert two_bridge_equiv(normalize_two_bridge(7, 2), normalize_two_bridge(7, 9))
-        assert not two_bridge_equiv(
-            normalize_two_bridge(7, 2), normalize_two_bridge(7, 3)
-        )
+        assert normalize_two_bridge(7, 2) == normalize_two_bridge(7, 9)
+        assert normalize_two_bridge(7, 2) != normalize_two_bridge(7, 3)
 
     def test_mirror(self):
         assert mirror_two_bridge(TwoBridgeForm(7, 2)) == TwoBridgeForm(7, 3)
@@ -169,9 +176,7 @@ class TestMurasugiBraidIndex:
         assert murasugi_braid_index(TwoBridgeForm(1, 0)) is None
 
     def test_boundary_case_differs_between_settings(self):
-        form = normalize_two_bridge(7, 2)
-        assert murasugi_braid_index(form, "as-quoted") is None
-        assert murasugi_braid_index(form, "relaxed") == 3
+        assert murasugi_braid_index(normalize_two_bridge(7, 2)) == 3
 
     def test_relaxed_certifies_standard_form_closures(self):
         # closures of s2^-1 s1^p s2^2 s1^q are three-braid closures; all of
@@ -180,18 +185,13 @@ class TestMurasugiBraidIndex:
             for q in range(1, 9):
                 form = normalize_two_bridge(2 * p * q + p + q, 2 * q + 1)
                 expected = 2 if (p, q) == (1, 1) else 3
-                assert murasugi_braid_index(form, "relaxed") == expected
+                assert murasugi_braid_index(form) == expected
 
     def test_interior_grid_agrees_between_settings(self):
         for p in range(2, 9):
             for q in range(2, 9):
                 form = normalize_two_bridge(2 * p * q + p + q, 2 * q + 1)
-                assert murasugi_braid_index(form, "as-quoted") == 3
-                assert murasugi_braid_index(form, "relaxed") == 3
-
-    def test_invalid_strictness_rejected(self):
-        with pytest.raises(ValueError):
-            murasugi_braid_index(TwoBridgeForm(7, 2), "strict")
+                assert murasugi_braid_index(form) == 3
 
     def test_index_is_mirror_invariant(self):
         for alpha, beta in ((7, 2), (10, 3), (13, 3), (25, 7)):
@@ -199,6 +199,26 @@ class TestMurasugiBraidIndex:
             assert murasugi_braid_index(form) == murasugi_braid_index(
                 mirror_two_bridge(form)
             )
+
+    def test_matches_reference_search(self):
+        # the reference walks every p, q in [1, alpha] and asks whether
+        # alpha or alpha - 1 is p(2q+1) + q for an odd representative 2q+1
+        def reference(a):
+            if a.alpha == 1:
+                return None
+            if a.beta_canonical in (1, a.alpha - 1):
+                return 2
+            targets = (a, mirror_two_bridge(a))
+            for p in range(1, a.alpha + 1):
+                for q in range(1, a.alpha + 1):
+                    c = 2 * q + 1
+                    if p * c + q in (a.alpha, a.alpha - 1) and gcd(a.alpha, c) == 1:
+                        if normalize_two_bridge(a.alpha, c) in targets:
+                            return 3
+            return None
+
+        for form in CANONICAL_FORMS:
+            assert murasugi_braid_index(form) == reference(form), form
 
 
 class TestStoimenowForm:
@@ -218,6 +238,25 @@ class TestStoimenowForm:
                 continue
             numerator, denominator = fraction_from_conway(found)
             value = normalize_two_bridge(numerator, denominator)
-            assert two_bridge_equiv(value, form) or two_bridge_equiv(
-                value, mirror_two_bridge(form)
-            )
+            assert value in (form, mirror_two_bridge(form))
+
+    def test_large_alpha_frozen_values(self):
+        assert stoimenow_form(normalize_two_bridge(301, 3)) == (1, 2, 100)
+        assert stoimenow_form(normalize_two_bridge(401, 2)) is None
+
+    def test_matches_reference_search(self):
+        # the reference walks p, q in [1, alpha] in lexicographic order and
+        # keeps the first tuple whose fraction is the class or its mirror
+        def reference(a):
+            targets = (a, mirror_two_bridge(a))
+            for p in range(1, a.alpha + 1):
+                for q in range(1, a.alpha + 1):
+                    if p * (2 * q + 1) + q != a.alpha:
+                        continue
+                    numerator, denominator = fraction_from_conway((p, 2, q))
+                    if normalize_two_bridge(numerator, denominator) in targets:
+                        return (p, 2, q)
+            return None
+
+        for form in CANONICAL_FORMS:
+            assert stoimenow_form(form) == reference(form), form
