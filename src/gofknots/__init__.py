@@ -1,7 +1,7 @@
 """Exact three-strand braid algebra and the classification of tunnel number
 one, genus one fibered knots in lens spaces.
 
-The package is organised in four layers:
+The package is organised in five layers:
 
 ``gofknots.words``
     Braid words in the three-strand braid group as immutable tuples of
@@ -33,137 +33,20 @@ The package is organised in four layers:
     self-check battery exposed on the command line as ``verify-paper``.
 """
 
-from .burau import (
-    IDENTITY_MATRIX,
-    MonodromyType,
-    SL2Matrix,
-    classify_monodromy,
-    equal_in_b3,
-    homology_order,
-    represent,
-    trace,
-)
-from .classify import (
-    CheckResult,
-    ClassificationResult,
-    ExceptionL72,
-    HopfPlumbing,
-    Label,
-    NotLensSpace,
-    candidate_pq,
-    classify_gof,
-    exception_isolation_checks,
-    is_two_bridge_closure,
-    known_conjugate_pairs,
-    result_to_record,
-    scan_table,
-    verify_case_analysis,
-)
-from .modular import (
-    X,
-    Y,
-    Y2,
-    FreeProductWord,
-    are_conjugate,
-    cyclic_normal_form,
-    find_conjugator_brute,
-    project,
-    psl_matrix,
-)
-from .twobridge import (
-    ConwayTuple,
-    DegenerateNotationError,
-    LensSpace,
-    NotTwoBridgeLinkError,
-    TwoBridgeForm,
-    fraction_from_conway,
-    lens_equiv,
-    lens_space,
-    lens_space_of,
-    mirror_two_bridge,
-    murasugi_braid_index,
-    normalize_two_bridge,
-    stoimenow_form,
-)
-from .words import (
-    IDENTITY,
-    BraidParseError,
-    BraidWord,
-    beta,
-    concat,
-    conjugate_by,
-    exponent_sum,
-    format_braid,
-    free_reduce,
-    insert_full_twists,
-    inverse,
-    mirror,
-    parse_braid,
-    scramble,
-    standard_form,
-)
+from . import burau, classify, modular, twobridge, words
+from .burau import *
+from .classify import *
+from .modular import *
+from .twobridge import *
+from .words import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidParseError",
-    "BraidWord",
-    "CheckResult",
-    "ClassificationResult",
-    "ConwayTuple",
-    "DegenerateNotationError",
-    "ExceptionL72",
-    "FreeProductWord",
-    "HopfPlumbing",
-    "IDENTITY",
-    "IDENTITY_MATRIX",
-    "Label",
-    "LensSpace",
-    "MonodromyType",
-    "NotLensSpace",
-    "NotTwoBridgeLinkError",
-    "SL2Matrix",
-    "TwoBridgeForm",
-    "X",
-    "Y",
-    "Y2",
-    "are_conjugate",
-    "beta",
-    "candidate_pq",
-    "classify_gof",
-    "classify_monodromy",
-    "concat",
-    "conjugate_by",
-    "cyclic_normal_form",
-    "equal_in_b3",
-    "exception_isolation_checks",
-    "exponent_sum",
-    "find_conjugator_brute",
-    "format_braid",
-    "fraction_from_conway",
-    "free_reduce",
-    "homology_order",
-    "insert_full_twists",
-    "inverse",
-    "is_two_bridge_closure",
-    "known_conjugate_pairs",
-    "lens_equiv",
-    "lens_space",
-    "lens_space_of",
-    "mirror",
-    "mirror_two_bridge",
-    "murasugi_braid_index",
-    "normalize_two_bridge",
-    "parse_braid",
-    "project",
-    "psl_matrix",
-    "represent",
-    "result_to_record",
-    "scan_table",
-    "scramble",
-    "standard_form",
-    "stoimenow_form",
-    "trace",
-    "verify_case_analysis",
+    *words.__all__,
+    *burau.__all__,
+    *modular.__all__,
+    *twobridge.__all__,
+    *classify.__all__,
     "__version__",
 ]

@@ -2,11 +2,14 @@
 about the genus-one fibered knot living over the braid axis.
 
 The closure of a three-strand braid is a two-bridge link exactly when the
-braid or its mirror is conjugate to standard_form(p, q) for some integers
-p, q, and then the closure is b(2pq+p+q, 2q+1).  Matching the exponent sum
-and the homology order of a word against that shape leaves at most a
-handful of (p, q) candidates, each settled by the exact conjugacy test, so
-the decision is a finite closed-form computation per word.
+braid is conjugate to standard_form(p, q) for some integers p, q, and then
+the closure is b(2pq+p+q, 2q+1).  Its mirror needs no test of its own:
+s1^2 mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1), so a
+braid whose mirror matches a standard form matches one itself.
+Matching the exponent sum and the homology order of a word against that
+shape leaves at most a handful of (p, q) candidates, each settled by the
+exact conjugacy test, so the decision is a finite closed-form computation
+per word.
 
 For odd k, the lift of the braid axis of the closure of beta(k, n) is a
 genus-one fibered knot with tunnel number one in the double branched
@@ -28,10 +31,9 @@ from .twobridge import (
     lens_equiv,
     lens_space,
     lens_space_of,
-    mirror_two_bridge,
     normalize_two_bridge,
 )
-from .words import BraidWord, beta, exponent_sum, format_braid, mirror, standard_form
+from .words import BraidWord, beta, exponent_sum, format_braid, standard_form
 
 __all__ = [
     "CheckResult",
@@ -135,21 +137,20 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
 def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness]]:
     """Decide whether the closure of ``w`` is a two-bridge link.
 
-    The word and then its mirror are tested against every candidate
-    standard form; the first conjugacy hit fixes the closure as
-    b(2pq+p+q, 2q+1), mirrored back when the hit was on the mirror side.
-    A homology order of zero is the unlink class, which has no normal
-    form, so it short-circuits to None.
+    The word is tested against every candidate standard form; the first
+    conjugacy hit fixes the closure as b(2pq+p+q, 2q+1).  The mirror is
+    never tested: by the identity s1^2 mirror(standard_form(p, q)) s1^-2 =
+    standard_form(-p-1, -q-1), a word whose mirror is conjugate to
+    standard_form(p, q) is itself conjugate to standard_form(-p-1, -q-1),
+    which has the word's exponent sum and homology order and so is among
+    its candidates.  The witness's ``mirrored`` flag is therefore always
+    False.  A candidate with 2pq+p+q = 0 means homology order zero, the
+    unlink class, which has no normal form and is skipped.
     """
-    if homology_order(w) == 0:
-        return None
-    for mirrored, candidate_word in ((False, w), (True, mirror(w))):
-        for p, q in candidate_pq(candidate_word):
-            if are_conjugate(candidate_word, standard_form(p, q)):
-                form = normalize_two_bridge(2 * p * q + p + q, 2 * q + 1)
-                if mirrored:
-                    form = mirror_two_bridge(form)
-                return form, (p, q, mirrored)
+    for p, q in candidate_pq(w):
+        alpha = 2 * p * q + p + q
+        if alpha and are_conjugate(w, standard_form(p, q)):
+            return normalize_two_bridge(alpha, 2 * q + 1), (p, q, False)
     return None
 
 

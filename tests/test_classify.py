@@ -1,7 +1,10 @@
 """The classification driver: candidates, closures, labels, check battery."""
 
+import random
+
 import pytest
 
+from gofknots.burau import equal_in_b3, homology_order
 from gofknots.classify import (
     ExceptionL72,
     HopfPlumbing,
@@ -16,8 +19,21 @@ from gofknots.classify import (
     verify_case_analysis,
 )
 from gofknots.modular import are_conjugate
-from gofknots.twobridge import TwoBridgeForm, lens_space, mirror_two_bridge
-from gofknots.words import BraidWord, beta, concat, mirror, parse_braid, standard_form
+from gofknots.twobridge import (
+    TwoBridgeForm,
+    lens_space,
+    mirror_two_bridge,
+    normalize_two_bridge,
+)
+from gofknots.words import (
+    BraidWord,
+    beta,
+    concat,
+    conjugate_by,
+    mirror,
+    parse_braid,
+    standard_form,
+)
 
 
 class TestCandidatePq:
@@ -102,6 +118,55 @@ class TestIsTwoBridgeClosure:
             assert are_conjugate(
                 beta(-1, n), concat(BraidWord((-2,)), sigma1_power(n - 2))
             )
+
+
+def two_sided_reference(w):
+    """The earlier two-pass decision, kept verbatim as a reference: a
+    homology-order guard, then the word and its mirror each tested against
+    their own candidates."""
+    if homology_order(w) == 0:
+        return None
+    for mirrored, candidate_word in ((False, w), (True, mirror(w))):
+        for p, q in candidate_pq(candidate_word):
+            if are_conjugate(candidate_word, standard_form(p, q)):
+                form = normalize_two_bridge(2 * p * q + p + q, 2 * q + 1)
+                if mirrored:
+                    form = mirror_two_bridge(form)
+                return form, (p, q, mirrored)
+    return None
+
+
+class TestMirrorPassIsRedundant:
+    def test_s1_squared_conjugates_mirror_to_shifted_standard_form(self):
+        # s1^2 mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1)
+        # as braids, so a mirror match is also a direct match
+        s1_squared = parse_braid("a a")
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                assert equal_in_b3(
+                    conjugate_by(mirror(standard_form(p, q)), s1_squared),
+                    standard_form(-p - 1, -q - 1),
+                ), (p, q)
+
+    def test_matches_two_sided_reference_on_acceptance_grid(self):
+        for k in range(-9, 10, 2):
+            for n in range(-30, 31):
+                word = beta(k, n)
+                assert is_two_bridge_closure(word) == two_sided_reference(word), (k, n)
+
+    def test_matches_two_sided_reference_on_standard_forms(self):
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                for word in (standard_form(p, q), mirror(standard_form(p, q))):
+                    assert is_two_bridge_closure(word) == two_sided_reference(word), (p, q)
+
+    def test_matches_two_sided_reference_on_random_words(self):
+        rng = random.Random(4)
+        for _ in range(2000):
+            word = BraidWord(
+                tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 24)))
+            )
+            assert is_two_bridge_closure(word) == two_sided_reference(word), word
 
 
 class TestClassifyGof:

@@ -83,6 +83,22 @@ class TestClosureCommand:
             "mirrored: false\n"
         )
 
+    def test_mirrored_two_bridge_closure(self):
+        # the mirror of beta(-3, 5) resolves on its own candidates, in the
+        # mirror lens space L(7,3), with the mirrored flag still false
+        code, out, _ = run_cli("closure", "b a b b a b b a b A A A A A")
+        assert code == 0
+        assert out == (
+            "two_bridge: true\n"
+            "alpha: 7\n"
+            "beta: 3\n"
+            "lens_p: 7\n"
+            "lens_q: 3\n"
+            "witness_p: 2\n"
+            "witness_q: 1\n"
+            "mirrored: false\n"
+        )
+
     def test_non_two_bridge_closure(self):
         code, out, _ = run_cli("closure", format_braid(beta(5, 7)))
         assert code == 0
