@@ -7,6 +7,12 @@ Y, Y^2 (order three), and two elements of infinite order are conjugate
 exactly when their cyclically reduced syllable words agree up to rotation.
 Together with the exponent sum, which separates the central powers the
 quotient forgets, this decides conjugacy of braids exactly.
+
+Every step is linear in the word length: projection is one stack pass,
+cyclic reduction moves two indices inward and slices once, the rotation
+test is a substring search of one core in the other core doubled, and the
+canonical rotation printed by ``nf`` comes from Duval's Lyndon
+factorization.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ __all__ = [
 # Syllables.  The numeric values double as Y-exponents (X carries none) and
 # order the alphabet X < Y < Y^2 for canonical rotations.
 X, Y, Y2 = 0, 1, 2
+_SYLLABLES = frozenset((X, Y, Y2))
 _SYLLABLE_NAMES = {X: "X", Y: "Y", Y2: "Y2"}
 
 
@@ -45,12 +52,16 @@ class FreeProductWord:
     def __post_init__(self) -> None:
         if not isinstance(self.syllables, tuple):
             object.__setattr__(self, "syllables", tuple(self.syllables))
-        for syllable in self.syllables:
-            if syllable not in (X, Y, Y2):
-                raise ValueError(f"invalid syllable {syllable!r}")
-        for left, right in zip(self.syllables, self.syllables[1:]):
-            if _same_factor(left, right):
-                raise ValueError("word is not reduced")
+        sylls = self.syllables
+        if not _SYLLABLES.issuperset(sylls):
+            bad = next(s for s in sylls if s not in _SYLLABLES)
+            raise ValueError(f"invalid syllable {bad!r}")
+        # Reduced means alternating factors: one parity class of positions
+        # is all X and the other holds no X.
+        even, odd = sylls[0::2], sylls[1::2]
+        even_x, odd_x = even.count(X), odd.count(X)
+        if not ((even_x == len(even) and odd_x == 0) or (even_x == 0 and odd_x == len(odd))):
+            raise ValueError("word is not reduced")
 
     def __len__(self) -> int:
         return len(self.syllables)
@@ -59,10 +70,6 @@ class FreeProductWord:
         if not self.syllables:
             return "1"
         return " ".join(_SYLLABLE_NAMES[s] for s in self.syllables)
-
-
-def _same_factor(s: int, t: int) -> bool:
-    return (s == X) == (t == X)
 
 
 # Letter images in the quotient.  The relation check: s1 s2 s1 maps to
@@ -76,29 +83,27 @@ _LETTER_IMAGES = {
 }
 
 
-def _push(stack: list[int], syllable: int) -> None:
-    if not stack:
-        stack.append(syllable)
-        return
-    top = stack[-1]
-    if top == X or syllable == X:
-        if top == X and syllable == X:
-            stack.pop()
-        else:
-            stack.append(syllable)
-        return
-    merged = (top + syllable) % 3
-    stack.pop()
-    if merged:
-        stack.append(merged)
-
-
 def project(w: BraidWord) -> FreeProductWord:
     """Image of a braid word in the central quotient, fully reduced."""
     stack: list[int] = []
+    push, pop = stack.append, stack.pop
     for letter in w.letters:
         for syllable in _LETTER_IMAGES[letter]:
-            _push(stack, syllable)
+            if not stack:
+                push(syllable)
+                continue
+            top = stack[-1]
+            if top == X or syllable == X:
+                if top == syllable:
+                    pop()  # X against X cancels
+                else:
+                    push(syllable)
+                continue
+            merged = (top + syllable) % 3
+            if merged:
+                stack[-1] = merged
+            else:
+                pop()
     return FreeProductWord(tuple(stack))
 
 
@@ -123,40 +128,65 @@ def cyclic_normal_form(fw: FreeProductWord) -> FreeProductWord:
 
     The word is cyclically reduced by merging wrap-around syllables from
     the same factor, then the lexicographically least rotation under
-    X < Y < Y^2 is chosen.  Torsion classes (length at most one) compare
-    literally; in particular Y and Y^2 stay distinct.
+    X < Y < Y^2 is chosen in linear time through Duval's Lyndon
+    factorization (J.-P. Duval, *Factorizing words over an ordered
+    alphabet*, J. Algorithms 1983).  Torsion classes (length at most one)
+    compare literally; in particular Y and Y^2 stay distinct.
     """
-    sylls = list(fw.syllables)
-    while len(sylls) >= 2 and _same_factor(sylls[0], sylls[-1]):
-        first, last = sylls[0], sylls[-1]
-        sylls = sylls[1:-1]
-        if first == X:
-            continue  # X against X cancels outright
-        merged = (first + last) % 3
+    return FreeProductWord(tuple(_least_rotation(_cyclic_core(fw.syllables))))
+
+
+def _cyclic_core(syllables: tuple[int, ...]) -> bytes:
+    """Cyclic reduction of a reduced syllable word.
+
+    Ends from the same factor are stripped from both sides at once: X
+    against X cancels (X + X = 0), Y-type ends merge mod 3, and a nonzero
+    merge, which sits between two X syllables, ends the reduction.
+    """
+    data = bytes(syllables)
+    first, last = 0, len(data) - 1
+    while first < last and (data[first] == X) == (data[last] == X):
+        merged = (data[first] + data[last]) % 3
+        first += 1
+        last -= 1
         if merged:
-            sylls.append(merged)
-    return FreeProductWord(_least_rotation(sylls))
+            return data[first:last + 1] + bytes((merged,))
+    return data[first:last + 1]
 
 
-def _least_rotation(sylls: list[int]) -> tuple[int, ...]:
-    if len(sylls) <= 1:
-        return tuple(sylls)
-    data = bytes(sylls)
-    doubled = data + data
-    size = len(data)
-    return tuple(min(doubled[i:i + size] for i in range(size)))
+def _least_rotation(core: bytes) -> bytes:
+    """Least rotation by Duval's Lyndon factorization of the doubled word:
+    the last Lyndon factor to start in the first copy begins the least
+    rotation.  Each pass of the outer loop moves ``start`` past the factors
+    it has read, so the whole scan is linear."""
+    size = len(core)
+    doubled = core + core
+    start = least = 0
+    while start < size:
+        least = start
+        ahead, mark = start + 1, start
+        while ahead < 2 * size and doubled[mark] <= doubled[ahead]:
+            mark = start if doubled[mark] < doubled[ahead] else mark + 1
+            ahead += 1
+        while start <= mark:
+            start += ahead - mark
+    return doubled[least:least + size]
 
 
 def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     """Exact conjugacy decision for three-strand braids.
 
-    Conjugacy in the quotient is rotation of cyclically reduced words; the
-    exponent sum then pins down the central factor, because conjugating in
-    the braid group cannot absorb a central power.
+    Conjugacy in the quotient is rotation of cyclically reduced words, so
+    the two cores are compared by a substring search of one in the other
+    doubled, which CPython runs in linear time; no canonical rotation is
+    needed.  The exponent sum then pins down the central factor, because
+    conjugating in the braid group cannot absorb a central power.
     """
     if exponent_sum(u) != exponent_sum(v):
         return False
-    return cyclic_normal_form(project(u)) == cyclic_normal_form(project(v))
+    a = _cyclic_core(project(u).syllables)
+    b = _cyclic_core(project(v).syllables)
+    return len(a) == len(b) and b in a + a
 
 
 _SEARCH_LETTERS = (1, -1, 2, -2)

@@ -55,9 +55,9 @@ class BraidWord:
     def __post_init__(self) -> None:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
-        for letter in self.letters:
-            if letter not in _VALID_LETTERS:
-                raise ValueError(f"invalid braid letter {letter!r}")
+        if not _VALID_LETTERS.issuperset(self.letters):
+            bad = next(letter for letter in self.letters if letter not in _VALID_LETTERS)
+            raise ValueError(f"invalid braid letter {bad!r}")
 
     def __len__(self) -> int:
         return len(self.letters)

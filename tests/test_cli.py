@@ -22,10 +22,12 @@ class TestDecisionCommands:
     def test_conjugate_true(self):
         code, out, err = run_cli("conjugate", "b a b", "a b a")
         assert (code, out, err) == (0, "true\n", "")
+        assert run_cli("conjugate", "a a a a B", "a a B a a") == (0, "true\n", "")
 
     def test_conjugate_false(self):
         code, out, _ = run_cli("conjugate", "a", "b b")
         assert (code, out) == (0, "false\n")
+        assert run_cli("conjugate", "a a a a a B B", "a a a a B") == (0, "false\n", "")
 
     def test_equal(self):
         assert run_cli("equal", "a b a", "b a b")[:2] == (0, "true\n")
@@ -48,6 +50,20 @@ class TestWordCommands:
             "exponent_sum: 3\n"
             "matrix: [[0, 1], [-1, 0]]\n"
             "psl_cyclic_normal_form: X\n"
+        )
+        assert run_cli("nf", "a a a a B") == (
+            0,
+            "exponent_sum: 3\n"
+            "matrix: [[5, 4], [1, 1]]\n"
+            "psl_cyclic_normal_form: X Y X Y X Y X Y X Y2\n",
+            "",
+        )
+        assert run_cli("nf", "B a a a a b b A") == (
+            0,
+            "exponent_sum: 4\n"
+            "matrix: [[-7, 11], [-9, 14]]\n"
+            "psl_cyclic_normal_form: X Y X Y X Y X Y X Y X Y2\n",
+            "",
         )
 
     def test_nf_of_identity(self):

@@ -21,6 +21,7 @@ from gofknots.words import (
     beta,
     concat,
     conjugate_by,
+    exponent_sum,
     inverse,
     parse_braid,
     scramble,
@@ -34,23 +35,90 @@ def random_word(rng, max_len=30):
     )
 
 
+# Reference implementation: the plain quadratic algorithm (one push per
+# syllable, strip one wrap-around pair per slice, minimum over every rotation
+# slice), against which the linear-time code is compared.
+_REFERENCE_IMAGES = {1: (X, Y), -1: (Y2, X), 2: (Y, X), -2: (X, Y2)}
+
+
+def _same_factor(s, t):
+    return (s == X) == (t == X)
+
+
+def reference_project(w):
+    stack = []
+    for letter in w.letters:
+        for syllable in _REFERENCE_IMAGES[letter]:
+            if not stack:
+                stack.append(syllable)
+            elif stack[-1] == X or syllable == X:
+                if stack[-1] == X and syllable == X:
+                    stack.pop()
+                else:
+                    stack.append(syllable)
+            else:
+                merged = (stack.pop() + syllable) % 3
+                if merged:
+                    stack.append(merged)
+    return tuple(stack)
+
+
+def reference_cyclic_normal_form(syllables):
+    sylls = list(syllables)
+    while len(sylls) >= 2 and _same_factor(sylls[0], sylls[-1]):
+        first, last = sylls[0], sylls[-1]
+        sylls = sylls[1:-1]
+        if first == X:
+            continue
+        merged = (first + last) % 3
+        if merged:
+            sylls.append(merged)
+    if len(sylls) <= 1:
+        return tuple(sylls)
+    doubled = bytes(sylls) * 2
+    return tuple(min(doubled[i:i + len(sylls)] for i in range(len(sylls))))
+
+
+def reference_are_conjugate(u, v):
+    if exponent_sum(u) != exponent_sum(v):
+        return False
+    return reference_cyclic_normal_form(reference_project(u)) == reference_cyclic_normal_form(
+        reference_project(v)
+    )
+
+
 class TestFreeProductWord:
     def test_rejects_invalid_syllables(self):
         with pytest.raises(ValueError):
             FreeProductWord((3,))
+        with pytest.raises(ValueError, match="^invalid syllable 3$"):
+            FreeProductWord((X, 3))
+        with pytest.raises(ValueError, match="^invalid syllable -1$"):
+            FreeProductWord((Y, -1, 5))
 
     def test_rejects_unreduced_words(self):
         with pytest.raises(ValueError):
             FreeProductWord((X, X))
         with pytest.raises(ValueError):
             FreeProductWord((Y, Y2))
+        for syllables in [(Y, X, X), (Y2, Y), (X, Y, Y2), (Y, X, Y, X, X), (Y, Y, X)]:
+            with pytest.raises(ValueError, match="^word is not reduced$"):
+                FreeProductWord(syllables)
 
     def test_accepts_alternating_words(self):
         assert FreeProductWord((X, Y, X, Y2)).syllables == (X, Y, X, Y2)
+        # either parity class may hold the X syllables, at odd and even length
+        for syllables in [(Y,), (Y2,), (X,), (Y, X), (Y2, X, Y), (Y, X, Y2, X), (X, Y, X)]:
+            assert FreeProductWord(syllables).syllables == syllables
 
     def test_str(self):
         assert str(FreeProductWord(())) == "1"
         assert str(FreeProductWord((X, Y2))) == "X Y2"
+
+    def test_list_input_is_stored_as_a_tuple(self):
+        word = FreeProductWord([X, Y, X])
+        assert word.syllables == (X, Y, X)
+        assert isinstance(word.syllables, tuple)
 
 
 class TestProject:
@@ -167,6 +235,51 @@ class TestAreConjugate:
                 assert homology_order(word) == homology_order(other)
                 assert exponent_sum(word) == exponent_sum(other)
         assert seen_positive == 100
+
+
+class TestAgainstQuadraticReference:
+    def test_normal_forms_on_random_words(self):
+        rng = random.Random(2024)
+        for _ in range(5000):
+            word = random_word(rng, 41)
+            fw = project(word)
+            assert fw.syllables == reference_project(word)
+            assert cyclic_normal_form(fw).syllables == reference_cyclic_normal_form(fw.syllables)
+
+    def test_conjugacy_verdicts_on_random_pairs(self):
+        rng = random.Random(2025)
+        verdicts = set()
+        for trial in range(5000):
+            u = random_word(rng, 41)
+            if trial % 4 == 0:
+                shift = rng.randrange(len(u) + 1)
+                v = BraidWord(u.letters[shift:] + u.letters[:shift])
+            elif trial % 4 == 1:
+                v = conjugate_by(u, random_word(rng, 8))
+            else:
+                v = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(len(u))))
+            expected = reference_are_conjugate(u, v)
+            verdicts.add(expected)
+            assert are_conjugate(u, v) is expected
+            assert are_conjugate(v, u) is expected
+        assert verdicts == {True, False}
+
+
+class TestLongPeriodicWords:
+    # s1^m s2^-1 is the worst case of a quadratic rotation minimum; these pin
+    # the results at a length where that takes seconds, without timing.
+    WORD = parse_braid("s1^50000 s2^-1")
+
+    def test_normal_form(self):
+        assert cyclic_normal_form(project(self.WORD)).syllables == (X, Y) * 50000 + (X, Y2)
+
+    def test_rotation_is_conjugate(self):
+        assert are_conjugate(self.WORD, parse_braid("s2^-1 s1^50000"))
+
+    def test_near_miss_with_equal_exponent_sum(self):
+        other = parse_braid("s1^50002 s2^-3")
+        assert exponent_sum(other) == exponent_sum(self.WORD)
+        assert not are_conjugate(self.WORD, other)
 
 
 class TestFindConjugatorBrute:

@@ -69,6 +69,8 @@ class TestBraidWord:
             BraidWord((3,))
         with pytest.raises(ValueError):
             BraidWord((0,))
+        with pytest.raises(ValueError, match="^invalid braid letter 3$"):
+            BraidWord((1, -2, 3, 0))
 
     def test_sequence_input_is_coerced_to_tuple(self):
         assert BraidWord([1, -2]).letters == (1, -2)
