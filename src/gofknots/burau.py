@@ -6,11 +6,17 @@ identity, so the matrix determines a braid up to the center and the pair
 first homology of the double branched cover of the braid closure:
 |det(M - I)| is the order of that group, with 0 standing for an infinite
 group.  All arithmetic is exact over unbounded integers.
+
+A word is read as runs of one generator.  The closed forms
+s1^e -> [[1, e], [0, 1]] and s2^e -> [[1, 0], [-e, 1]] make right
+multiplication by a run one column operation on the running product, so
+no matrix is built per letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Literal
 
 from .words import BraidWord, exponent_sum
@@ -63,20 +69,25 @@ class SL2Matrix:
 
 IDENTITY_MATRIX = SL2Matrix(1, 0, 0, 1)
 
-_GENERATOR_IMAGES = {
-    1: SL2Matrix(1, 1, 0, 1),
-    -1: SL2Matrix(1, -1, 0, 1),
-    2: SL2Matrix(1, 0, -1, 1),
-    -2: SL2Matrix(1, 0, 1, 1),
-}
-
 
 def represent(w: BraidWord) -> SL2Matrix:
-    """Image of a word, letters multiplied left to right."""
-    matrix = IDENTITY_MATRIX
-    for letter in w.letters:
-        matrix = matrix * _GENERATOR_IMAGES[letter]
-    return matrix
+    """Image of a word, letters multiplied left to right.
+
+    The product is kept as four integers.  A run s1^e adds e times the
+    first column to the second (b += e*a, d += e*c); a run s2^e subtracts
+    e times the second column from the first (a -= e*b, c -= e*d).  The
+    result is validated as an SL2Matrix once.
+    """
+    a, b, c, d = 1, 0, 0, 1
+    for gen, run in groupby(w.letters, abs):
+        e = sum(run) // gen
+        if gen == 1:
+            b += e * a
+            d += e * c
+        else:
+            a -= e * b
+            c -= e * d
+    return SL2Matrix(a, b, c, d)
 
 
 def trace(w: BraidWord) -> int:
@@ -85,9 +96,11 @@ def trace(w: BraidWord) -> int:
 
 def homology_order(w: BraidWord) -> int:
     """Order of the first homology of the double branched cover of the
-    closure of ``w``; 0 encodes an infinite group."""
-    m = represent(w)
-    return abs((m.a - 1) * (m.d - 1) - m.b * m.c)
+    closure of ``w``; 0 encodes an infinite group.
+
+    This is |det(M - I)|, and det(M - I) = 2 - tr M because det M = 1.
+    """
+    return abs(2 - represent(w).trace)
 
 
 def classify_monodromy(w: BraidWord) -> MonodromyType:

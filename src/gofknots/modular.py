@@ -18,9 +18,7 @@ factorization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .burau import IDENTITY_MATRIX, SL2Matrix, represent
 from .words import BraidWord, exponent_sum
 
 __all__ = [
@@ -30,9 +28,7 @@ __all__ = [
     "Y2",
     "are_conjugate",
     "cyclic_normal_form",
-    "find_conjugator_brute",
     "project",
-    "psl_matrix",
 ]
 
 # Syllables.  The numeric values double as Y-exponents (X carries none) and
@@ -107,22 +103,6 @@ def project(w: BraidWord) -> FreeProductWord:
     return FreeProductWord(tuple(stack))
 
 
-_PSL_IMAGES = {
-    X: SL2Matrix(0, -1, 1, 0),
-    Y: SL2Matrix(0, -1, 1, 1),
-    Y2: SL2Matrix(-1, -1, 1, 0),
-}
-
-
-def psl_matrix(fw: FreeProductWord) -> SL2Matrix:
-    """Matrix image of a syllable word; agrees with the braid matrix of any
-    preimage up to one global sign."""
-    matrix = IDENTITY_MATRIX
-    for syllable in fw.syllables:
-        matrix = matrix * _PSL_IMAGES[syllable]
-    return matrix
-
-
 def cyclic_normal_form(fw: FreeProductWord) -> FreeProductWord:
     """Canonical representative of the conjugacy class of ``fw``.
 
@@ -187,40 +167,3 @@ def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     a = _cyclic_core(project(u).syllables)
     b = _cyclic_core(project(v).syllables)
     return len(a) == len(b) and b in a + a
-
-
-_SEARCH_LETTERS = (1, -1, 2, -2)
-
-
-def find_conjugator_brute(u: BraidWord, v: BraidWord, max_len: int) -> Optional[BraidWord]:
-    """Exhaustive conjugator search, independent of the quotient machinery.
-
-    Words g over the four letters are enumerated in shortlex order
-    (letter order a, A, b, B) up to length ``max_len``; the first g with
-    g u g^-1 equal to v as a braid is returned, or None.  Intended as a
-    validation oracle for :func:`are_conjugate`.
-    """
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    if exponent_sum(u) != exponent_sum(v):
-        return None  # conjugation preserves the exponent sum
-    source = represent(u)
-    target = represent(v)
-    images = {letter: represent(BraidWord((letter,))) for letter in _SEARCH_LETTERS}
-
-    # g u g^-1 = v exactly when G A = V G: the exponent sums already match,
-    # so the matrix test is equivalent to equality in the braid group.
-    def search(prefix: tuple[int, ...], matrix: SL2Matrix, remaining: int) -> Optional[tuple[int, ...]]:
-        if remaining == 0:
-            return prefix if matrix * source == target * matrix else None
-        for letter in _SEARCH_LETTERS:
-            found = search(prefix + (letter,), matrix * images[letter], remaining - 1)
-            if found is not None:
-                return found
-        return None
-
-    for length in range(max_len + 1):
-        found = search((), IDENTITY_MATRIX, length)
-        if found is not None:
-            return BraidWord(found)
-    return None

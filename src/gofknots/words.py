@@ -70,7 +70,8 @@ IDENTITY = BraidWord()
 
 _SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
 _TOKENS_BACK = {1: "a", -1: "A", 2: "b", -2: "B"}
-_POWER_TOKEN = re.compile(r"s(\d+)(?:\^(-?\d+))?\Z")
+# ASCII digits only: \d would also take digits of other scripts.
+_POWER_TOKEN = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -83,13 +84,13 @@ def parse_braid(text: str) -> BraidWord:
         match = _POWER_TOKEN.fullmatch(token)
         if match is None:
             raise BraidParseError(f"malformed token {token!r}")
-        index = int(match.group(1))
-        if index not in (1, 2):
+        index, power = match.groups()
+        if index not in ("1", "2"):
             raise BraidParseError(f"generator index out of range in token {token!r}")
-        exponent = int(match.group(2)) if match.group(2) is not None else 1
+        exponent = int(power) if power is not None else 1
         if exponent == 0:
             raise BraidParseError(f"zero exponent in token {token!r}")
-        letters.extend(_power(index, exponent))
+        letters.extend(_power(int(index), exponent))
     return BraidWord(tuple(letters))
 
 

@@ -27,7 +27,7 @@ from gofknots.burau import (
 )
 from gofknots.classify import ExceptionL72, HopfPlumbing, scan_table
 from gofknots.cli import main
-from gofknots.modular import are_conjugate, find_conjugator_brute, project, psl_matrix
+from gofknots.modular import are_conjugate, project
 from gofknots.twobridge import (
     fraction_from_conway,
     lens_equiv,
@@ -44,6 +44,8 @@ from gofknots.words import (
     scramble,
     standard_form,
 )
+
+from oracles import find_conjugator_brute, psl_matrix
 
 GRID_K = tuple(range(-9, 10, 2))
 GRID_N = tuple(range(-30, 31))

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gofknots import burau
 from gofknots.burau import (
     IDENTITY_MATRIX,
     SL2Matrix,
@@ -28,6 +29,28 @@ def random_word(rng, max_len=40):
     return BraidWord(
         tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, max_len)))
     )
+
+
+# Reference implementation: one validated matrix product per letter, against
+# which the run-by-run column operations of represent are compared.
+_REFERENCE_IMAGES = {
+    1: SL2Matrix(1, 1, 0, 1),
+    -1: SL2Matrix(1, -1, 0, 1),
+    2: SL2Matrix(1, 0, -1, 1),
+    -2: SL2Matrix(1, 0, 1, 1),
+}
+
+
+def reference_represent(w):
+    matrix = IDENTITY_MATRIX
+    for letter in w.letters:
+        matrix = matrix * _REFERENCE_IMAGES[letter]
+    return matrix
+
+
+def reference_homology_order(w):
+    m = reference_represent(w)
+    return abs((m.a - 1) * (m.d - 1) - m.b * m.c)
 
 
 class TestSL2Matrix:
@@ -73,6 +96,52 @@ class TestRepresent:
         for _ in range(200):
             m = represent(random_word(rng))
             assert m.a * m.d - m.b * m.c == 1
+
+
+class TestAgainstPerLetterReference:
+    def test_random_words(self):
+        rng = random.Random(2026)
+        for _ in range(5000):
+            word = random_word(rng, 61)
+            assert represent(word) == reference_represent(word), word
+            assert homology_order(word) == reference_homology_order(word), word
+
+    def test_acceptance_grid_of_beta_words(self):
+        for k in range(-9, 10, 2):
+            for n in range(-30, 31):
+                word = beta(k, n)
+                assert represent(word) == reference_represent(word), (k, n)
+
+    def test_standard_forms(self):
+        for p in range(-12, 13):
+            for q in range(-12, 13):
+                word = standard_form(p, q)
+                assert represent(word) == reference_represent(word), (p, q)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s1^3000 s2^-2000 s1^-1",
+            "s2^-2500 a A a s1^1200 b B s2^7",
+            "a a a A A b b B B B a",
+            "s1^40 s1^-40 s2^13",
+        ],
+    )
+    def test_long_and_mixed_runs(self, text):
+        word = parse_braid(text)
+        assert represent(word) == reference_represent(word)
+
+    def test_one_validated_matrix_per_call(self, monkeypatch):
+        built = []
+
+        class CountingMatrix(SL2Matrix):
+            def __post_init__(self):
+                built.append(self)
+                super().__post_init__()
+
+        monkeypatch.setattr(burau, "SL2Matrix", CountingMatrix)
+        represent(parse_braid("s1^300 s2^-200 a b A B"))
+        assert len(built) == 1
 
 
 class TestTraceAndHomology:

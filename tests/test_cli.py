@@ -271,6 +271,11 @@ class TestErrorHandling:
         assert out == ""
         assert err == "error: malformed token 'xyz'\n"
 
+    def test_generator_index_must_be_literal(self):
+        code, out, err = run_cli("closure", "s01^2")
+        assert (code, out) == (2, "")
+        assert err == "error: generator index out of range in token 's01^2'\n"
+
     def test_unlink_lens_parameters_exit_2(self):
         code, _, err = run_cli("lens-eq", "0", "3", "1", "0")
         assert code == 2

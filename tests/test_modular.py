@@ -12,9 +12,7 @@ from gofknots.modular import (
     FreeProductWord,
     are_conjugate,
     cyclic_normal_form,
-    find_conjugator_brute,
     project,
-    psl_matrix,
 )
 from gofknots.words import (
     BraidWord,
@@ -27,6 +25,8 @@ from gofknots.words import (
     scramble,
     standard_form,
 )
+
+from oracles import find_conjugator_brute, psl_matrix
 
 
 def random_word(rng, max_len=30):

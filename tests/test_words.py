@@ -54,10 +54,27 @@ class TestParseFormat:
             word = BraidWord(letters)
             assert parse_braid(format_braid(word)) == word
 
-    @pytest.mark.parametrize("bad", ["xyz", "c", "s3", "s0", "s1^0", "s1^", "a^2", "-1"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["xyz", "c", "s3", "s0", "s1^0", "s1^", "a^2", "-1", "s01^2", "s02", "s1^\u0663", "s\u0662^-1"],
+    )
     def test_malformed_tokens_rejected(self, bad):
         with pytest.raises(BraidParseError):
             parse_braid(bad)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ("s01^2", "generator index out of range in token 's01^2'"),
+            ("s3", "generator index out of range in token 's3'"),
+            ("s1^\u0663", "malformed token 's1^\u0663'"),
+            ("s\u0662^-1", "malformed token 's\u0662^-1'"),
+        ],
+    )
+    def test_error_names_the_token(self, bad, message):
+        with pytest.raises(BraidParseError) as excinfo:
+            parse_braid(bad)
+        assert str(excinfo.value) == message
 
     def test_parse_error_is_a_value_error(self):
         assert issubclass(BraidParseError, ValueError)
