@@ -6,15 +6,16 @@ braid is conjugate to standard_form(p, q) for some integers p, q, and then
 the closure is b(2pq+p+q, 2q+1).  Its mirror needs no test of its own:
 s1^2 mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1), so a
 braid whose mirror matches a standard form matches one itself.
-Matching the exponent sum and the homology order of a word against that
-shape leaves at most a handful of (p, q) candidates, each settled by the
-exact conjugacy test, so the decision is a finite closed-form computation
-per word.
+The exponent sum and the signed trace of a word fix p + q and 2pq + p + q,
+which leaves at most two (p, q) candidates, each settled by the exact
+conjugacy test, so the decision is a finite closed-form computation per
+word.
 
 For odd k, the lift of the braid axis of the closure of beta(k, n) is a
 genus-one fibered knot with tunnel number one in the double branched
 cover, and every such knot in a lens space arises this way; classify_gof
-reports which (k, n) give lens spaces and labels the resulting knots.
+reports which (k, n) give lens spaces and reads the label of the knot
+off the two-bridge witness.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .burau import homology_order
+from .burau import trace
 from .modular import are_conjugate
 from .twobridge import (
     LensSpace,
@@ -106,32 +107,20 @@ class ClassificationResult:
 def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
     """All (p, q) that could make standard_form(p, q) conjugate to ``w``.
 
-    Conjugacy forces p + q + 1 to equal the exponent sum and |2pq + p + q|
-    to equal the homology order, so p and q are roots of
-    z^2 - sigma z + pi with sigma = e - 1 and pi = (s d - sigma)/2 for a
-    sign s.  Both root orders are returned, larger root first, duplicates
-    removed; the list is a superset of every match.
+    Conjugacy keeps the exponent sum e and the trace of the matrix, and
+    2 - tr represent(standard_form(p, q)) = 2pq + p + q, so p and q are the
+    roots of z^2 - sigma z + pi with sigma = e - 1 and 2 pi = 2 - tr - sigma.
+    Both orders are returned, larger root first, once if the roots are
+    equal: at most two candidates, a superset of every match.
     """
-    e = exponent_sum(w)
-    d = homology_order(w)
-    sigma = e - 1
-    pairs: list[tuple[int, int]] = []
-    for s in (1, -1):
-        doubled = s * d - sigma
-        if doubled % 2:
-            continue
-        pi = doubled // 2
-        disc = sigma * sigma - 4 * pi
-        if disc < 0:
-            continue
-        root = math.isqrt(disc)
-        if root * root != disc:
-            continue
-        low, high = (sigma - root) // 2, (sigma + root) // 2
-        for pair in ((high, low), (low, high)):
-            if pair not in pairs:
-                pairs.append(pair)
-    return pairs
+    sigma = exponent_sum(w) - 1
+    doubled = 2 - trace(w) - sigma
+    disc = sigma * sigma - 2 * doubled
+    root = math.isqrt(max(disc, 0))
+    if doubled % 2 or root * root != disc:
+        return []
+    high, low = (sigma + root) // 2, (sigma - root) // 2
+    return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 
 def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness]]:
@@ -142,8 +131,8 @@ def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness
     never tested: by the identity s1^2 mirror(standard_form(p, q)) s1^-2 =
     standard_form(-p-1, -q-1), a word whose mirror is conjugate to
     standard_form(p, q) is itself conjugate to standard_form(-p-1, -q-1),
-    which has the word's exponent sum and homology order and so is among
-    its candidates.  The witness's ``mirrored`` flag is therefore always
+    which has the word's exponent sum and trace and so is among its
+    candidates.  The witness's ``mirrored`` flag is therefore always
     False.  A candidate with 2pq+p+q = 0 means homology order zero, the
     unlink class, which has no normal form and is skipped.
     """
@@ -156,31 +145,49 @@ def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness
 
 def classify_gof(k: int, n: int) -> ClassificationResult:
     """Classify the genus-one fibered knot over the braid axis of the
-    closure of beta(k, n); k must be odd."""
+    closure of beta(k, n); k must be odd.  Of the closures that are not
+    two-bridge, only the unlink cells beta(e, -2e), |e| = 1, are labelled
+    plumbings, with r = 0; the rest are NotLensSpace."""
     if k % 2 == 0:
         raise ValueError(f"k must be odd, got {k}")
     word = beta(k, n)
     hit = is_two_bridge_closure(word)
-    label = _label_for(k, n)
-    description = _describe(label, hit)
     if hit is None:
-        return ClassificationResult(k, n, word, False, None, None, None, label, description)
-    form, witness = hit
+        e = exponent_sum(word)
+        unlink = abs(e) == 1 and are_conjugate(word, beta(e, -2 * e))
+        label = HopfPlumbing(r=0, band_sign=e) if unlink else NotLensSpace()
+        form = space = witness = None
+    else:
+        form, witness = hit
+        space = lens_space_of(form)
+        label = _label_for(k, witness, space)
     return ClassificationResult(
-        k, n, word, True, form, lens_space_of(form), witness, label, description
+        k, n, word, hit is not None, form, space, witness, label, _describe(label, hit)
     )
 
 
-def _label_for(k: int, n: int) -> Label:
-    if k in (1, -1):
-        return HopfPlumbing(r=n + 2 * k, band_sign=k)
-    if (k, n) in ((-3, 3), (3, -3)):
-        # conjugate to beta(-+1, -+3), so the same plumbing as those rows
-        sign = 1 if k > 0 else -1
-        return HopfPlumbing(r=5 * sign, band_sign=sign)
-    if (k, n) in ((-3, 5), (3, -5)):
-        return ExceptionL72(sign=1 if k < 0 else -1)
-    return NotLensSpace()
+def _label_for(k: int, witness: Witness, space: LensSpace) -> Label:
+    """The label of a two-bridge beta(k, n), read off its witness (p, q).
+
+    standard_form(x, 0) ~ beta(1, x - 2) and standard_form(y, -1) ~
+    beta(-1, y + 3): a witness with a root 0 is on the +1 plumbing row,
+    one with a root -1 on the -1 row, and r = band (2pq + p + q).  The S^3
+    cells (1, -3) and (-1, 3) have both roots and keep the band of k's
+    sign.  Any other witness is the exception in L(7, 2) or L(7, 3).
+    """
+    p, q, _ = witness
+    if {p, q} == {0, -1}:
+        band = 1 if k > 0 else -1
+    elif 0 in (p, q):
+        band = 1
+    elif -1 in (p, q):
+        band = -1
+    else:
+        sign = {lens_space(7, 2): 1, lens_space(7, 3): -1}.get(space)
+        if sign is None:
+            raise RuntimeError(f"the theorem gives {space} no label")
+        return ExceptionL72(sign=sign)
+    return HopfPlumbing(r=band * (2 * p * q + p + q), band_sign=band)
 
 
 def _describe(label: Label, hit: Optional[tuple[TwoBridgeForm, Witness]]) -> str:

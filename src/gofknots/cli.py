@@ -35,15 +35,13 @@ from .classify import (
 )
 from .modular import are_conjugate, cyclic_normal_form, project
 from .twobridge import (
-    DegenerateNotationError,
-    NotTwoBridgeLinkError,
     fraction_from_conway,
     lens_equiv,
     lens_space,
     lens_space_of,
     normalize_two_bridge,
 )
-from .words import BraidParseError, beta, exponent_sum, format_braid, parse_braid
+from .words import beta, exponent_sum, format_braid, parse_braid
 
 
 def _fmt(value: object) -> str:
@@ -318,12 +316,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ns = _build_parser().parse_args(args)
     try:
         return ns.func(ns)
-    except (
-        BraidParseError,
-        DegenerateNotationError,
-        NotTwoBridgeLinkError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # the package's input errors all subclass it
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -84,7 +84,7 @@ class TwoBridgeForm:
     def __post_init__(self) -> None:
         if self.alpha < 1:
             raise ValueError("alpha must be at least 1")
-        if not 0 <= self.beta_canonical < max(self.alpha, 1):
+        if not 0 <= self.beta_canonical < self.alpha:
             raise ValueError("beta_canonical out of range")
         if self.alpha == 1:
             if self.beta_canonical != 0:

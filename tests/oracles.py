@@ -1,13 +1,18 @@
 """Independent oracles the tests compare the library against.
 
-Neither is used by the library: ``psl_matrix`` multiplies a second image
-table over the quotient syllables, and ``find_conjugator_brute`` searches
-conjugators exhaustively instead of deciding conjugacy in the quotient.
+None is used by the library: ``psl_matrix`` multiplies a second image
+table over the quotient syllables, ``find_conjugator_brute`` searches
+conjugators exhaustively instead of deciding conjugacy in the quotient,
+``two_sign_candidate_pq`` solves the candidate quadratic for both signs of
+the homology order instead of the signed trace, and ``table_label`` writes
+the theorem's labels out by cell instead of reading them off the witness.
 """
 
+import math
 from typing import Optional
 
-from gofknots.burau import IDENTITY_MATRIX, SL2Matrix, represent
+from gofknots.burau import IDENTITY_MATRIX, SL2Matrix, homology_order, represent
+from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
 from gofknots.words import BraidWord, exponent_sum
 
@@ -62,3 +67,48 @@ def find_conjugator_brute(u: BraidWord, v: BraidWord, max_len: int) -> Optional[
         if found is not None:
             return BraidWord(found)
     return None
+
+
+def two_sign_candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
+    """The earlier candidate list, kept verbatim as a reference.
+
+    Conjugacy forces p + q + 1 to equal the exponent sum and |2pq + p + q|
+    to equal the homology order, so p and q are roots of
+    z^2 - sigma z + pi with sigma = e - 1 and pi = (s d - sigma)/2 for a
+    sign s.  Both root orders are returned, larger root first, duplicates
+    removed; the list is a superset of every match.
+    """
+    e = exponent_sum(w)
+    d = homology_order(w)
+    sigma = e - 1
+    pairs: list[tuple[int, int]] = []
+    for s in (1, -1):
+        doubled = s * d - sigma
+        if doubled % 2:
+            continue
+        pi = doubled // 2
+        disc = sigma * sigma - 4 * pi
+        if disc < 0:
+            continue
+        root = math.isqrt(disc)
+        if root * root != disc:
+            continue
+        low, high = (sigma - root) // 2, (sigma + root) // 2
+        for pair in ((high, low), (low, high)):
+            if pair not in pairs:
+                pairs.append(pair)
+    return pairs
+
+
+def table_label(k: int, n: int) -> Label:
+    """The theorem's labels written out by cell, kept verbatim as a
+    reference for the labels read off the witness."""
+    if k in (1, -1):
+        return HopfPlumbing(r=n + 2 * k, band_sign=k)
+    if (k, n) in ((-3, 3), (3, -3)):
+        # conjugate to beta(-+1, -+3), so the same plumbing as those rows
+        sign = 1 if k > 0 else -1
+        return HopfPlumbing(r=5 * sign, band_sign=sign)
+    if (k, n) in ((-3, 5), (3, -5)):
+        return ExceptionL72(sign=1 if k < 0 else -1)
+    return NotLensSpace()

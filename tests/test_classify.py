@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from gofknots.burau import equal_in_b3, homology_order
+from gofknots.burau import equal_in_b3, homology_order, trace
 from gofknots.classify import (
     ExceptionL72,
     HopfPlumbing,
     NotLensSpace,
+    _label_for,
     candidate_pq,
     classify_gof,
     exception_isolation_checks,
@@ -30,10 +31,33 @@ from gofknots.words import (
     beta,
     concat,
     conjugate_by,
+    exponent_sum,
     mirror,
     parse_braid,
     standard_form,
 )
+from oracles import table_label, two_sign_candidate_pq
+
+
+def acceptance_grid():
+    """The 610 beta(k, n) of the acceptance grid: k odd in [-9, 9],
+    n in [-30, 30]."""
+    return [beta(k, n) for k in range(-9, 10, 2) for n in range(-30, 31)]
+
+
+def standard_forms_and_mirrors():
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            yield standard_form(p, q)
+            yield mirror(standard_form(p, q))
+
+
+def random_words(seed, count, max_letters):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield BraidWord(
+            tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, max_letters)))
+        )
 
 
 class TestCandidatePq:
@@ -63,6 +87,91 @@ class TestCandidatePq:
                     are_conjugate(word, standard_form(x, y))
                     for x, y in candidate_pq(word)
                 )
+
+
+def two_sign_closure(w):
+    """The decision over the two-sign candidate list: the same loop as
+    is_two_bridge_closure, with candidates that may have the wrong trace."""
+    for p, q in two_sign_candidate_pq(w):
+        alpha = 2 * p * q + p + q
+        if alpha and are_conjugate(w, standard_form(p, q)):
+            return normalize_two_bridge(alpha, 2 * q + 1), (p, q, False)
+    return None
+
+
+class TestSignedTraceCandidates:
+    def test_trace_identity_of_standard_forms(self):
+        for p in range(-30, 31):
+            for q in range(-30, 31):
+                assert 2 - trace(standard_form(p, q)) == 2 * p * q + p + q, (p, q)
+
+    def test_frozen_signed_candidates(self):
+        # the opposite sign of |2 - tr| adds roots that can never match
+        assert candidate_pq(beta(-7, 30)) == [(6, 2), (2, 6)]
+        assert len(two_sign_candidate_pq(beta(-7, 30))) == 4
+        assert candidate_pq(beta(-9, 14)) == []
+        assert len(two_sign_candidate_pq(beta(-9, 14))) == 2
+
+    def test_candidates_are_the_two_sign_list_filtered_by_trace(self):
+        words = [
+            *acceptance_grid(),
+            *standard_forms_and_mirrors(),
+            *random_words(2026, 5000, 30),
+        ]
+        for word in words:
+            signed = 2 - trace(word)
+            expected = [
+                (p, q) for p, q in two_sign_candidate_pq(word)
+                if 2 * p * q + p + q == signed
+            ]
+            assert candidate_pq(word) == expected, word
+            assert len(expected) <= 2
+
+    def test_closure_equals_two_sign_decision_on_acceptance_grid(self):
+        for word in acceptance_grid():
+            assert is_two_bridge_closure(word) == two_sign_closure(word), word
+
+    def test_closure_equals_two_sign_decision_on_standard_forms(self):
+        for word in standard_forms_and_mirrors():
+            assert is_two_bridge_closure(word) == two_sign_closure(word), word
+
+    def test_closure_equals_two_sign_decision_on_random_words(self):
+        for word in random_words(8, 5000, 30):
+            assert is_two_bridge_closure(word) == two_sign_closure(word), word
+
+
+class TestLabelsFromTheWitness:
+    def test_plumbing_rows_are_standard_forms_with_root_zero_or_minus_one(self):
+        for x in range(-40, 41):
+            assert are_conjugate(standard_form(x, 0), beta(1, x - 2)), x
+            assert are_conjugate(standard_form(x, -1), beta(-1, x + 3)), x
+
+    def test_labels_equal_the_table_on_a_grid(self):
+        for result in scan_table(range(-25, 26, 2), range(-120, 121)):
+            assert result.label == table_label(result.k, result.n), (result.k, result.n)
+
+    def test_labels_equal_the_table_far_out(self):
+        rng = random.Random(17)
+        cells = [(k, n) for k in (1, -1) for n in (10**5, -(10**5))]
+        cells += [(rng.randrange(-2001, 2002, 2), rng.randint(-5000, 5000)) for _ in range(50)]
+        for k, n in cells:
+            assert classify_gof(k, n).label == table_label(k, n), (k, n)
+
+    def test_s3_cells_keep_the_band_of_k(self):
+        # both roots 0 and -1: beta(1, -3) and beta(-1, 3) share a witness
+        # pair but sit on opposite plumbing rows
+        assert classify_gof(1, -3).label == HopfPlumbing(r=-1, band_sign=1)
+        assert classify_gof(-1, 3).label == HopfPlumbing(r=1, band_sign=-1)
+
+    def test_unlink_cells_are_plumbings_without_a_witness(self):
+        for k, n in ((1, -2), (-1, 2)):
+            result = classify_gof(k, n)
+            assert result.witness is None
+            assert result.label == HopfPlumbing(r=0, band_sign=exponent_sum(result.word))
+
+    def test_a_hit_outside_the_theorem_raises(self):
+        with pytest.raises(RuntimeError):
+            _label_for(5, (2, 3, False), lens_space(17, 7))
 
 
 class TestIsTwoBridgeClosure:

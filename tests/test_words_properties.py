@@ -1,0 +1,58 @@
+"""Word algebra, swept over random words: formatting and parsing
+round-trip, scrambling keeps the braid, and the two-bridge verdict is a
+conjugacy invariant."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from gofknots.burau import equal_in_b3  # noqa: E402
+from gofknots.classify import is_two_bridge_closure  # noqa: E402
+from gofknots.modular import are_conjugate  # noqa: E402
+from gofknots.words import (  # noqa: E402
+    BraidWord,
+    conjugate_by,
+    format_braid,
+    parse_braid,
+    scramble,
+    standard_form,
+)
+
+words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
+    lambda letters: BraidWord(tuple(letters))
+)
+small = st.integers(min_value=-8, max_value=8)
+# random words are rarely two-bridge, so standard forms supply the hits
+closures = st.one_of(words, st.builds(standard_form, small, small))
+tokens = st.one_of(
+    st.sampled_from(("a", "A", "b", "B", "s1", "s2")),
+    st.builds(
+        "s{}^{}".format,
+        st.sampled_from((1, 2)),
+        st.integers(min_value=-5, max_value=5).filter(bool),
+    ),
+)
+
+
+@hypothesis.given(words)
+def test_format_then_parse_is_the_identity(w):
+    assert parse_braid(format_braid(w)) == w
+
+
+@hypothesis.given(st.lists(tokens, max_size=12))
+def test_parse_then_format_keeps_every_letter(parts):
+    w = parse_braid(" ".join(parts))
+    assert parse_braid(format_braid(w)) == w
+
+
+@hypothesis.given(words, st.integers(min_value=0), st.integers(min_value=0, max_value=20))
+def test_scramble_keeps_the_braid_and_its_class(w, seed, steps):
+    scrambled = scramble(w, seed, steps)
+    assert equal_in_b3(scrambled, w)
+    assert are_conjugate(scrambled, w)
+
+
+@hypothesis.given(closures, words)
+def test_conjugating_keeps_the_two_bridge_verdict(w, g):
+    assert is_two_bridge_closure(conjugate_by(w, g)) == is_two_bridge_closure(w)
