@@ -3,9 +3,10 @@ about the genus-one fibered knot living over the braid axis.
 
 The closure of a three-strand braid is a two-bridge link exactly when the
 braid is conjugate to standard_form(p, q) for some integers p, q, and then
-the closure is b(2pq+p+q, 2q+1).  Its mirror needs no test of its own:
-s1^2 mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1), so a
-braid whose mirror matches a standard form matches one itself.
+the closure is b(2pq+p+q, 2q+1); the pair (p, q) is the witness.  Its
+mirror needs no test of its own: s1^2 mirror(standard_form(p, q)) s1^-2 =
+standard_form(-p-1, -q-1), so a braid whose mirror matches a standard form
+matches one itself.
 The exponent sum and the signed trace of a word fix p + q and 2pq + p + q,
 which leaves at most two (p, q) candidates, each settled by the exact
 conjugacy test, so the decision is a finite closed-form computation per
@@ -34,7 +35,7 @@ from .twobridge import (
     lens_space_of,
     normalize_two_bridge,
 )
-from .words import BraidWord, beta, exponent_sum, format_braid, standard_form
+from .words import BraidWord, beta, exponent_sum, standard_form
 
 __all__ = [
     "CheckResult",
@@ -48,12 +49,11 @@ __all__ = [
     "exception_isolation_checks",
     "is_two_bridge_closure",
     "known_conjugate_pairs",
-    "result_to_record",
     "scan_table",
     "verify_case_analysis",
 ]
 
-Witness = tuple[int, int, bool]
+Witness = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -126,20 +126,19 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
 def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness]]:
     """Decide whether the closure of ``w`` is a two-bridge link.
 
-    The word is tested against every candidate standard form; the first
-    conjugacy hit fixes the closure as b(2pq+p+q, 2q+1).  The mirror is
+    The first candidate (p, q) whose standard form is conjugate to the word
+    is the witness, and the closure is b(2pq+p+q, 2q+1).  The mirror is
     never tested: by the identity s1^2 mirror(standard_form(p, q)) s1^-2 =
     standard_form(-p-1, -q-1), a word whose mirror is conjugate to
     standard_form(p, q) is itself conjugate to standard_form(-p-1, -q-1),
     which has the word's exponent sum and trace and so is among its
-    candidates.  The witness's ``mirrored`` flag is therefore always
-    False.  A candidate with 2pq+p+q = 0 means homology order zero, the
-    unlink class, which has no normal form and is skipped.
+    candidates.  A candidate with 2pq+p+q = 0 means homology order zero,
+    the unlink class, which has no normal form and is skipped.
     """
     for p, q in candidate_pq(w):
         alpha = 2 * p * q + p + q
         if alpha and are_conjugate(w, standard_form(p, q)):
-            return normalize_two_bridge(alpha, 2 * q + 1), (p, q, False)
+            return normalize_two_bridge(alpha, 2 * q + 1), (p, q)
     return None
 
 
@@ -162,7 +161,7 @@ def classify_gof(k: int, n: int) -> ClassificationResult:
         space = lens_space_of(form)
         label = _label_for(k, witness, space)
     return ClassificationResult(
-        k, n, word, hit is not None, form, space, witness, label, _describe(label, hit)
+        k, n, word, hit is not None, form, space, witness, label, _describe(label)
     )
 
 
@@ -175,7 +174,7 @@ def _label_for(k: int, witness: Witness, space: LensSpace) -> Label:
     cells (1, -3) and (-1, 3) have both roots and keep the band of k's
     sign.  Any other witness is the exception in L(7, 2) or L(7, 3).
     """
-    p, q, _ = witness
+    p, q = witness
     if {p, q} == {0, -1}:
         band = 1 if k > 0 else -1
     elif 0 in (p, q):
@@ -190,14 +189,14 @@ def _label_for(k: int, witness: Witness, space: LensSpace) -> Label:
     return HopfPlumbing(r=band * (2 * p * q + p + q), band_sign=band)
 
 
-def _describe(label: Label, hit: Optional[tuple[TwoBridgeForm, Witness]]) -> str:
+def _describe(label: Label) -> str:
     if isinstance(label, HopfPlumbing):
         r_text = str(label.r) if label.r >= 0 else f"({label.r})"
         base = (
             f"plumbing of a {r_text}-Hopf band and a "
             f"({label.band_sign:+d})-Hopf band in L({label.r},1)"
         )
-        if hit is None:
+        if label.r == 0:  # no two-bridge hit has 2pq + p + q = 0
             return base + "; the closure is the two-component unlink, outside the two-bridge normal forms"
         return base
     if isinstance(label, ExceptionL72):
@@ -306,36 +305,3 @@ def exception_isolation_checks() -> list[CheckResult]:
             )
         )
     return results
-
-
-def _closure_fields(form: Optional[TwoBridgeForm], witness: Optional[Witness]) -> dict:
-    """The two-bridge form, lens space and witness fields of a closure
-    record, all None when the closure is not two-bridge."""
-    if form is None or witness is None:
-        return dict.fromkeys(
-            ("alpha", "beta", "lens_p", "lens_q", "witness_p", "witness_q", "mirrored")
-        )
-    space = lens_space_of(form)
-    p, q, mirrored = witness
-    return {
-        "alpha": form.alpha,
-        "beta": form.beta_canonical,
-        "lens_p": space.p,
-        "lens_q": space.q_canonical,
-        "witness_p": p,
-        "witness_q": q,
-        "mirrored": mirrored,
-    }
-
-
-def result_to_record(result: ClassificationResult) -> dict:
-    """Flatten a ClassificationResult into its serialization record."""
-    return {
-        "k": result.k,
-        "n": result.n,
-        "word": format_braid(result.word),
-        "is_two_bridge": result.is_two_bridge,
-        **_closure_fields(result.two_bridge, result.witness),
-        "label": str(result.label),
-        "description": result.description,
-    }

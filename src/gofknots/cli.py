@@ -24,17 +24,19 @@ from . import __version__
 from .burau import equal_in_b3, homology_order, represent
 from .classify import (
     CheckResult,
-    _closure_fields,
+    ClassificationResult,
+    Witness,
     classify_gof,
     exception_isolation_checks,
     is_two_bridge_closure,
     known_conjugate_pairs,
-    result_to_record,
     scan_table,
     verify_case_analysis,
 )
 from .modular import are_conjugate, cyclic_normal_form, project
 from .twobridge import (
+    LensSpace,
+    TwoBridgeForm,
     fraction_from_conway,
     lens_equiv,
     lens_space,
@@ -53,6 +55,42 @@ def _fmt(value: object) -> str:
     if value is False:
         return "false"
     return str(value)
+
+
+def _print_record(record: dict) -> None:
+    """Print a text record, one ``key: value`` line per field."""
+    for key, value in record.items():
+        print(f"{key}: {_fmt(value)}")
+
+
+def _form_fields(form: Optional[TwoBridgeForm], space: Optional[LensSpace]) -> dict:
+    """The two-bridge form and lens space fields of a record, null without a form."""
+    if form is None or space is None:
+        return dict.fromkeys(("alpha", "beta", "lens_p", "lens_q"))
+    return dict(alpha=form.alpha, beta=form.beta_canonical, lens_p=space.p, lens_q=space.q_canonical)
+
+
+def _closure_fields(
+    form: Optional[TwoBridgeForm], space: Optional[LensSpace], witness: Optional[Witness]
+) -> dict:
+    """The form fields, then the witness (p, q).  No mirror is ever tested,
+    so ``mirrored`` is false on a two-bridge record and null otherwise."""
+    p, q = witness or (None, None)
+    mirrored = None if witness is None else False
+    return {**_form_fields(form, space), "witness_p": p, "witness_q": q, "mirrored": mirrored}
+
+
+def result_to_record(result: ClassificationResult) -> dict:
+    """Flatten a ClassificationResult into its serialization record."""
+    return {
+        "k": result.k,
+        "n": result.n,
+        "word": format_braid(result.word),
+        "is_two_bridge": result.is_two_bridge,
+        **_closure_fields(result.two_bridge, result.lens_space, result.witness),
+        "label": str(result.label),
+        "description": result.description,
+    }
 
 
 def _int_list(text: str) -> list[int]:
@@ -107,9 +145,8 @@ def _cmd_det(ns: argparse.Namespace) -> int:
 def _cmd_closure(ns: argparse.Namespace) -> int:
     hit = is_two_bridge_closure(parse_braid(ns.word))
     form, witness = hit or (None, None)
-    fields = {"two_bridge": hit is not None, **_closure_fields(form, witness)}
-    for key, value in fields.items():
-        print(f"{key}: {_fmt(value)}")
+    space = None if form is None else lens_space_of(form)
+    _print_record({"two_bridge": hit is not None, **_closure_fields(form, space, witness)})
     return 0
 
 
@@ -118,48 +155,28 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
     if ns.json:
         print(json.dumps(record))
     else:
-        for key, value in record.items():
-            print(f"{key}: {_fmt(value)}")
+        _print_record(record)
     return 0
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    records = [result_to_record(r) for r in scan_table(ns.k, ns.n)]
+    results = scan_table(ns.k, ns.n)
     if ns.format == "json":
-        print(json.dumps(records))
+        print(json.dumps([result_to_record(r) for r in results]))
         return 0
     print("k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel")
-    for rec in records:
-        lens = (
-            "null"
-            if rec["lens_p"] is None
-            else f"L({rec['lens_p']},{rec['lens_q']})"
-        )
-        print(
-            "\t".join(
-                (
-                    str(rec["k"]),
-                    str(rec["n"]),
-                    _fmt(rec["is_two_bridge"]),
-                    _fmt(rec["alpha"]),
-                    _fmt(rec["beta"]),
-                    lens,
-                    rec["label"],
-                )
-            )
-        )
+    for r in results:
+        fields = _form_fields(r.two_bridge, r.lens_space)
+        row = (r.k, r.n, r.is_two_bridge, fields["alpha"], fields["beta"], r.lens_space, r.label)
+        print("\t".join(map(_fmt, row)))
     return 0
 
 
 def _cmd_conway(ns: argparse.Namespace) -> int:
     numerator, denominator = fraction_from_conway(tuple(ns.entries))
     form = normalize_two_bridge(numerator, denominator)
-    space = lens_space_of(form)
-    print(f"fraction: {numerator}/{denominator}")
-    print(f"alpha: {form.alpha}")
-    print(f"beta: {form.beta_canonical}")
-    print(f"lens_p: {space.p}")
-    print(f"lens_q: {space.q_canonical}")
+    fields = _form_fields(form, lens_space_of(form))
+    _print_record({"fraction": f"{numerator}/{denominator}", **fields})
     return 0
 
 

@@ -5,14 +5,13 @@ unoriented link type depends only on alpha and the class of beta up to
 inversion mod alpha, so forms are stored with the canonical representative
 min(beta, beta^-1) mod alpha.  The double branched cover of b(alpha, beta)
 is the lens space L(alpha, beta), which gets the same canonicalization.
-Conway tuples are evaluated as exact continued fractions.
+Conway tuples are evaluated as exact continued fractions in integers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 __all__ = [
@@ -47,19 +46,17 @@ def fraction_from_conway(entries: ConwayTuple) -> tuple[int, int]:
     a1 + 1/(a2 + 1/(... + 1/am)), right to left and exactly.
 
     Returns a coprime (numerator, denominator) pair, signs arranged so the
-    numerator is nonnegative.
+    numerator is nonnegative.  Each step (num, den) -> (a num + den, num)
+    keeps the pair coprime, as consecutive continuants are.
     """
     if not entries:
         raise ValueError("Conway tuple must be nonempty")
-    value = Fraction(entries[-1])
+    num, den = entries[-1], 1
     for entry in reversed(entries[:-1]):
-        if value == 0:
+        if num == 0:
             raise DegenerateNotationError(f"division by zero while evaluating {entries!r}")
-        value = entry + 1 / value
-    numerator, denominator = value.numerator, value.denominator
-    if numerator < 0:
-        numerator, denominator = -numerator, -denominator
-    return numerator, denominator
+        num, den = entry * num + den, num
+    return (-num, -den) if (num, den) < (0, 0) else (num, den)
 
 
 def _canonical_residue(alpha: int, beta: int) -> int:

@@ -4,16 +4,20 @@ None is used by the library: ``psl_matrix`` multiplies a second image
 table over the quotient syllables, ``find_conjugator_brute`` searches
 conjugators exhaustively instead of deciding conjugacy in the quotient,
 ``two_sign_candidate_pq`` solves the candidate quadratic for both signs of
-the homology order instead of the signed trace, and ``table_label`` writes
-the theorem's labels out by cell instead of reading them off the witness.
+the homology order instead of the signed trace, ``table_label`` writes
+the theorem's labels out by cell instead of reading them off the witness,
+and ``fraction_from_conway_by_fractions`` evaluates Conway tuples with
+``fractions.Fraction`` instead of integer continuants.
 """
 
 import math
+from fractions import Fraction
 from typing import Optional
 
 from gofknots.burau import IDENTITY_MATRIX, SL2Matrix, homology_order, represent
 from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
+from gofknots.twobridge import ConwayTuple, DegenerateNotationError
 from gofknots.words import BraidWord, exponent_sum
 
 _PSL_IMAGES = {
@@ -112,3 +116,19 @@ def table_label(k: int, n: int) -> Label:
     if (k, n) in ((-3, 5), (3, -5)):
         return ExceptionL72(sign=1 if k < 0 else -1)
     return NotLensSpace()
+
+
+def fraction_from_conway_by_fractions(entries: ConwayTuple) -> tuple[int, int]:
+    """The earlier ``Fraction`` evaluator of ``fraction_from_conway``, kept
+    verbatim as a reference for the integer continuants."""
+    if not entries:
+        raise ValueError("Conway tuple must be nonempty")
+    value = Fraction(entries[-1])
+    for entry in reversed(entries[:-1]):
+        if value == 0:
+            raise DegenerateNotationError(f"division by zero while evaluating {entries!r}")
+        value = entry + 1 / value
+    numerator, denominator = value.numerator, value.denominator
+    if numerator < 0:
+        numerator, denominator = -numerator, -denominator
+    return numerator, denominator

@@ -15,10 +15,10 @@ from gofknots.classify import (
     exception_isolation_checks,
     is_two_bridge_closure,
     known_conjugate_pairs,
-    result_to_record,
     scan_table,
     verify_case_analysis,
 )
+from gofknots.cli import result_to_record
 from gofknots.modular import are_conjugate
 from gofknots.twobridge import (
     TwoBridgeForm,
@@ -95,7 +95,7 @@ def two_sign_closure(w):
     for p, q in two_sign_candidate_pq(w):
         alpha = 2 * p * q + p + q
         if alpha and are_conjugate(w, standard_form(p, q)):
-            return normalize_two_bridge(alpha, 2 * q + 1), (p, q, False)
+            return normalize_two_bridge(alpha, 2 * q + 1), (p, q)
     return None
 
 
@@ -169,21 +169,32 @@ class TestLabelsFromTheWitness:
             assert result.witness is None
             assert result.label == HopfPlumbing(r=0, band_sign=exponent_sum(result.word))
 
+    def test_plumbing_has_r_zero_exactly_off_the_two_bridge_cells(self):
+        # the rule _describe reads the unlink cells by: no hit has r = 0
+        plumbings = [
+            result
+            for result in scan_table(range(-9, 10, 2), range(-30, 31))
+            if isinstance(result.label, HopfPlumbing)
+        ]
+        assert plumbings
+        for result in plumbings:
+            assert (result.label.r == 0) == (not result.is_two_bridge), (result.k, result.n)
+
     def test_a_hit_outside_the_theorem_raises(self):
         with pytest.raises(RuntimeError):
-            _label_for(5, (2, 3, False), lens_space(17, 7))
+            _label_for(5, (2, 3), lens_space(17, 7))
 
 
 class TestIsTwoBridgeClosure:
     def test_hopf_plumbing_row(self):
         form, witness = is_two_bridge_closure(beta(1, 3))
         assert form == TwoBridgeForm(5, 1)
-        assert witness == (5, 0, False)
+        assert witness == (5, 0)
 
     def test_exceptional_row(self):
         form, witness = is_two_bridge_closure(beta(-3, 5))
         assert form == TwoBridgeForm(7, 2)
-        assert witness == (-2, -3, False)
+        assert witness == (-2, -3)
 
     def test_generic_row_is_not_two_bridge(self):
         assert is_two_bridge_closure(beta(5, 7)) is None
@@ -196,11 +207,11 @@ class TestIsTwoBridgeClosure:
     def test_mirror_image_words_resolve_directly(self):
         # mirroring is a braid automorphism, so the mirror of a standard
         # form is itself conjugate to a standard form on negated roots and
-        # the direct pass finds it (the mirrored flag stays False)
+        # the direct pass finds it
         word = parse_braid("b A A B B A")  # mirror of standard_form(2, 1)
         form, witness = is_two_bridge_closure(word)
         assert form == TwoBridgeForm(7, 2)
-        assert witness == (-2, -3, False)
+        assert witness == (-2, -3)
 
     def test_mirror_covariance(self):
         # the closure of the mirror word carries the mirror two-bridge form
@@ -245,6 +256,17 @@ def two_sided_reference(w):
     return None
 
 
+def direct_reference(w):
+    """two_sided_reference with its mirrored flag dropped from the witness,
+    after checking that the flag is False: the mirror pass never fires."""
+    hit = two_sided_reference(w)
+    if hit is None:
+        return None
+    form, (p, q, mirrored) = hit
+    assert mirrored is False, w
+    return form, (p, q)
+
+
 class TestMirrorPassIsRedundant:
     def test_s1_squared_conjugates_mirror_to_shifted_standard_form(self):
         # s1^2 mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1)
@@ -261,13 +283,13 @@ class TestMirrorPassIsRedundant:
         for k in range(-9, 10, 2):
             for n in range(-30, 31):
                 word = beta(k, n)
-                assert is_two_bridge_closure(word) == two_sided_reference(word), (k, n)
+                assert is_two_bridge_closure(word) == direct_reference(word), (k, n)
 
     def test_matches_two_sided_reference_on_standard_forms(self):
         for p in range(-12, 13):
             for q in range(-12, 13):
                 for word in (standard_form(p, q), mirror(standard_form(p, q))):
-                    assert is_two_bridge_closure(word) == two_sided_reference(word), (p, q)
+                    assert is_two_bridge_closure(word) == direct_reference(word), (p, q)
 
     def test_matches_two_sided_reference_on_random_words(self):
         rng = random.Random(4)
@@ -275,7 +297,7 @@ class TestMirrorPassIsRedundant:
             word = BraidWord(
                 tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 24)))
             )
-            assert is_two_bridge_closure(word) == two_sided_reference(word), word
+            assert is_two_bridge_closure(word) == direct_reference(word), word
 
 
 class TestClassifyGof:
@@ -302,7 +324,7 @@ class TestClassifyGof:
         plus = classify_gof(-3, 5)
         assert plus.label == ExceptionL72(sign=1)
         assert plus.lens_space == lens_space(7, 2)
-        assert plus.witness == (-2, -3, False)
+        assert plus.witness == (-2, -3)
         assert "L(7,2)" in plus.description
         minus = classify_gof(3, -5)
         assert minus.label == ExceptionL72(sign=-1)

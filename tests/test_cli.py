@@ -123,6 +123,21 @@ class TestClosureCommand:
         assert all(line.endswith(": null") for line in lines[1:])
         assert len(lines) == 8
 
+    def test_unlink_closure_record(self):
+        # a single s2 closes to the two-component unlink: every field null
+        assert run_cli("closure", "b") == (
+            0,
+            "two_bridge: false\n"
+            "alpha: null\n"
+            "beta: null\n"
+            "lens_p: null\n"
+            "lens_q: null\n"
+            "witness_p: null\n"
+            "witness_q: null\n"
+            "mirrored: null\n",
+            "",
+        )
+
 
 class TestClassifyCommand:
     def test_text_output(self):
@@ -143,6 +158,26 @@ class TestClassifyCommand:
             "label: ExceptionL72(+1)\n"
             "description: (-1)-Dehn surgery on the plumbing of a 7-Hopf band "
             "and a (+1)-Hopf band; knot in L(7,2)\n"
+        )
+
+    def test_unlink_cell_text_output(self):
+        assert run_cli("classify", "1", "-2") == (
+            0,
+            "k: 1\n"
+            "n: -2\n"
+            "word: b a b A A\n"
+            "is_two_bridge: false\n"
+            "alpha: null\n"
+            "beta: null\n"
+            "lens_p: null\n"
+            "lens_q: null\n"
+            "witness_p: null\n"
+            "witness_q: null\n"
+            "mirrored: null\n"
+            "label: HopfPlumbing(r=0,band=+1)\n"
+            "description: plumbing of a 0-Hopf band and a (+1)-Hopf band in L(0,1); "
+            "the closure is the two-component unlink, outside the two-bridge normal forms\n",
+            "",
         )
 
     def test_json_output_round_trips(self):
@@ -187,6 +222,31 @@ class TestTableCommand:
         code, out, _ = run_cli("table", "--k=-1,1", "--n=0..3")
         assert code == 0
         assert out == self.EXPECTED_TSV
+
+    def test_tsv_null_columns_exception_and_negative_band(self):
+        assert run_cli("table", "--k=-3,-1,5", "--n=1..6") == (
+            0,
+            "k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel\n"
+            "-3\t1\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "-3\t2\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "-3\t3\ttrue\t5\t4\tL(5,4)\tHopfPlumbing(r=-5,band=-1)\n"
+            "-3\t4\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "-3\t5\ttrue\t7\t2\tL(7,2)\tExceptionL72(+1)\n"
+            "-3\t6\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "-1\t1\ttrue\t1\t0\tL(1,0)\tHopfPlumbing(r=-1,band=-1)\n"
+            "-1\t2\tfalse\tnull\tnull\tnull\tHopfPlumbing(r=0,band=-1)\n"
+            "-1\t3\ttrue\t1\t0\tL(1,0)\tHopfPlumbing(r=1,band=-1)\n"
+            "-1\t4\ttrue\t2\t1\tL(2,1)\tHopfPlumbing(r=2,band=-1)\n"
+            "-1\t5\ttrue\t3\t1\tL(3,1)\tHopfPlumbing(r=3,band=-1)\n"
+            "-1\t6\ttrue\t4\t1\tL(4,1)\tHopfPlumbing(r=4,band=-1)\n"
+            "5\t1\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "5\t2\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "5\t3\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "5\t4\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "5\t5\tfalse\tnull\tnull\tnull\tNotLensSpace\n"
+            "5\t6\tfalse\tnull\tnull\tnull\tNotLensSpace\n",
+            "",
+        )
 
     def test_output_is_deterministic(self):
         first = run_cli("table", "--k=-3,-1,1,3", "--n=-8..8")
@@ -233,6 +293,17 @@ class TestConwayCommand:
         code, out, _ = run_cli("conway", "5")
         assert code == 0
         assert out.splitlines()[0] == "fraction: 5/1"
+
+    def test_unknot_value(self):
+        assert run_cli("conway", "0,5") == (
+            0,
+            "fraction: 1/5\n"
+            "alpha: 1\n"
+            "beta: 0\n"
+            "lens_p: 1\n"
+            "lens_q: 0\n",
+            "",
+        )
 
     def test_degenerate_tuple_exits_2(self):
         code, _, err = run_cli("conway", "2,0")

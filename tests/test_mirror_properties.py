@@ -9,7 +9,7 @@ st = hypothesis.strategies
 
 from gofknots.burau import SL2Matrix, homology_order, represent  # noqa: E402
 from gofknots.classify import is_two_bridge_closure  # noqa: E402
-from gofknots.twobridge import mirror_two_bridge  # noqa: E402
+from gofknots.twobridge import mirror_two_bridge, normalize_two_bridge  # noqa: E402
 from gofknots.words import BraidWord, mirror  # noqa: E402
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
@@ -37,5 +37,5 @@ def test_mirror_closure_is_the_mirror_form(w):
         return
     assert flipped is not None
     assert flipped[0] == mirror_two_bridge(direct[0])
-    assert direct[1][2] is False
-    assert flipped[1][2] is False
+    for form, (p, q) in (direct, flipped):
+        assert normalize_two_bridge(2 * p * q + p + q, 2 * q + 1) == form

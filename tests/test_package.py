@@ -1,7 +1,16 @@
-"""The package namespace re-exports exactly the layers' public names."""
+"""The package namespace re-exports exactly the layers' public names, no
+layer borrows another's private names, and the command runs as a module."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import gofknots
-from gofknots import burau, classify, modular, twobridge, words
+from gofknots import burau, classify, cli, modular, twobridge, words
+
+PACKAGE_DIR = Path(gofknots.__file__).resolve().parent
 
 
 def test_all_is_the_union_of_the_layer_exports():
@@ -28,3 +37,36 @@ def test_test_oracles_are_not_exported():
     for name in ("find_conjugator_brute", "psl_matrix"):
         assert name not in gofknots.__all__
         assert not hasattr(gofknots, name)
+
+
+def test_no_module_imports_a_private_name():
+    borrowed = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                borrowed += [
+                    f"{path.name}: {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert borrowed == []
+
+
+def test_result_to_record_lives_in_the_cli():
+    assert "result_to_record" not in gofknots.__all__
+    assert not hasattr(gofknots, "result_to_record")
+    assert not hasattr(classify, "result_to_record")
+    assert callable(cli.result_to_record)
+
+
+def test_verify_paper_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-m", "gofknots.cli", "verify-paper"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "verify-paper: PASS"

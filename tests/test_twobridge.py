@@ -1,5 +1,6 @@
 """Conway fractions, two-bridge normal forms, lens spaces, braid indices."""
 
+import itertools
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from gofknots.twobridge import (
     normalize_two_bridge,
     stoimenow_form,
 )
+from oracles import fraction_from_conway_by_fractions
 
 
 # every canonical b(alpha, beta) with alpha <= 60, the unknot included
@@ -81,6 +83,22 @@ class TestFractionFromConway:
                 assert fraction_from_conway((p, 1, 1, q)) == fraction_from_conway(
                     (p, 2, -q - 1)
                 )
+
+    def test_continuants_equal_the_fraction_evaluator(self):
+        # every tuple of length 1-5 with entries in [-4, 4]: 66,429 tuples
+        checked = 0
+        for length in range(1, 6):
+            for entries in itertools.product(range(-4, 5), repeat=length):
+                try:
+                    expected = fraction_from_conway_by_fractions(entries)
+                except DegenerateNotationError as exc:
+                    with pytest.raises(DegenerateNotationError) as raised:
+                        fraction_from_conway(entries)
+                    assert str(raised.value) == str(exc)
+                else:
+                    assert fraction_from_conway(entries) == expected, entries
+                checked += 1
+        assert checked == 66_429
 
 
 class TestTwoBridgeForm:
