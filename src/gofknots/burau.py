@@ -15,10 +15,10 @@ no matrix is built per letter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby
 from typing import Literal
 
+from ._record import Record
 from .words import BraidWord, exponent_sum
 
 __all__ = [
@@ -35,8 +35,7 @@ __all__ = [
 MonodromyType = Literal["periodic", "reducible", "pseudo-Anosov"]
 
 
-@dataclass(frozen=True)
-class SL2Matrix:
+class SL2Matrix(Record):
     """A 2x2 integer matrix of determinant one."""
 
     a: int

@@ -22,9 +22,9 @@ off the two-bridge witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from ._record import Record
 from .burau import trace
 from .modular import are_conjugate
 from .twobridge import (
@@ -56,8 +56,7 @@ __all__ = [
 Witness = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class HopfPlumbing:
+class HopfPlumbing(Record):
     """Plumbing of an r-Hopf band and a (band_sign)-Hopf band; the knot
     lives in the lens space L(r, 1), reading L(r,1) as L(-r,-1) for r < 0."""
 
@@ -68,8 +67,7 @@ class HopfPlumbing:
         return f"HopfPlumbing(r={self.r},band={self.band_sign:+d})"
 
 
-@dataclass(frozen=True)
-class ExceptionL72:
+class ExceptionL72(Record):
     """The one knot outside the plumbing family, in L(7,2) or its mirror."""
 
     sign: int
@@ -78,8 +76,7 @@ class ExceptionL72:
         return f"ExceptionL72({self.sign:+d})"
 
 
-@dataclass(frozen=True)
-class NotLensSpace:
+class NotLensSpace(Record):
     """The double branched cover of the closure is not a lens space."""
 
     def __str__(self) -> str:
@@ -89,8 +86,7 @@ class NotLensSpace:
 Label = Union[HopfPlumbing, ExceptionL72, NotLensSpace]
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     """The verdict for a single (k, n) cell."""
 
     k: int
@@ -221,8 +217,7 @@ def scan_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[Classif
     ]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """One named boolean check with its expected and computed values."""
 
     name: str

@@ -16,7 +16,6 @@ options with negative entries need the equals form, e.g. ``--k=-3,-1``.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence
 
@@ -153,6 +152,8 @@ def _cmd_closure(ns: argparse.Namespace) -> int:
 def _cmd_classify(ns: argparse.Namespace) -> int:
     record = result_to_record(classify_gof(ns.k, ns.n))
     if ns.json:
+        import json  # on demand: most calls print no JSON
+
         print(json.dumps(record))
     else:
         _print_record(record)
@@ -162,6 +163,8 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 def _cmd_table(ns: argparse.Namespace) -> int:
     results = scan_table(ns.k, ns.n)
     if ns.format == "json":
+        import json  # on demand: most calls print no JSON
+
         print(json.dumps([result_to_record(r) for r in results]))
         return 0
     print("k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel")

@@ -17,8 +17,7 @@ factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .words import BraidWord, exponent_sum
 
 __all__ = [
@@ -38,8 +37,7 @@ _SYLLABLES = frozenset((X, Y, Y2))
 _SYLLABLE_NAMES = {X: "X", Y: "Y", Y2: "Y2"}
 
 
-@dataclass(frozen=True)
-class FreeProductWord:
+class FreeProductWord(Record):
     """A reduced word in Z/2 * Z/3: no two adjacent syllables lie in the
     same free factor.  The empty word is the identity."""
 

@@ -11,8 +11,9 @@ Conway tuples are evaluated as exact continued fractions in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Optional
+
+from ._record import Record
 
 __all__ = [
     "ConwayTuple",
@@ -67,8 +68,7 @@ def _canonical_residue(alpha: int, beta: int) -> int:
     return min(residue, pow(residue, -1, alpha))
 
 
-@dataclass(frozen=True)
-class TwoBridgeForm:
+class TwoBridgeForm(Record):
     """Canonical parameters of an unoriented two-bridge link.
 
     alpha >= 1; alpha = 1 is the unknot.  beta_canonical is the least of
@@ -116,8 +116,7 @@ def mirror_two_bridge(a: TwoBridgeForm) -> TwoBridgeForm:
     return normalize_two_bridge(a.alpha, -a.beta_canonical)
 
 
-@dataclass(frozen=True)
-class LensSpace:
+class LensSpace(Record):
     """Canonical parameters of a lens space L(p, q).
 
     p >= 0; p = 0 encodes S^1 x S^2 and p = 1 encodes S^3.  q_canonical is

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+
+from ._record import Record
 
 __all__ = [
     "BraidParseError",
@@ -42,8 +43,7 @@ class BraidParseError(ValueError):
     """A braid token string violates the grammar."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Record):
     """An unreduced word in the generators of the three-strand braid group.
 
     The empty word is the identity.  Instances are immutable; every
@@ -139,8 +139,13 @@ def free_reduce(w: BraidWord) -> BraidWord:
 
 
 def exponent_sum(w: BraidWord) -> int:
-    """Sum of letter signs, a conjugacy invariant."""
-    return sum(1 if letter > 0 else -1 for letter in w.letters)
+    """Sum of letter signs, a conjugacy invariant.
+
+    Letters are exactly +-1 and +-2, so counting the two negative letters
+    gives the sum without a pass in Python.
+    """
+    letters = w.letters
+    return len(letters) - 2 * (letters.count(-1) + letters.count(-2))
 
 
 def beta(k: int, n: int) -> BraidWord:

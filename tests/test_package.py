@@ -1,7 +1,9 @@
 """The package namespace re-exports exactly the layers' public names, no
-layer borrows another's private names, and the command runs as a module."""
+layer borrows another's private names, and the command runs as a module
+without loading dataclasses or json at start-up."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -57,6 +59,34 @@ def test_result_to_record_lives_in_the_cli():
     assert not hasattr(gofknots, "result_to_record")
     assert not hasattr(classify, "result_to_record")
     assert callable(cli.result_to_record)
+
+
+def test_cli_import_loads_no_code_generation_or_json():
+    # dataclasses drags in inspect, ast, dis and tokenize; json is imported
+    # only by the two commands that print it
+    script = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import gofknots.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    added = set(done.stdout.split())
+    assert "gofknots.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}), added
+    done = subprocess.run(
+        [sys.executable, "-m", "gofknots.cli", "classify", "-3", "5", "--json"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["label"] == "ExceptionL72(+1)"
 
 
 def test_verify_paper_runs_as_a_module():

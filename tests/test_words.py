@@ -131,6 +131,19 @@ class TestFreeAlgebra:
         assert exponent_sum(beta(-3, 5)) == -4
         assert exponent_sum(standard_form(2, -3)) == 0
 
+    def test_exponent_sum_equals_the_sum_of_letter_signs(self):
+        def sign_sum(word):
+            return sum(1 if letter > 0 else -1 for letter in word.letters)
+
+        rng = random.Random(10)
+        for _ in range(5000):
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 61)))
+            word = BraidWord(letters)
+            assert exponent_sum(word) == sign_sum(word), word
+        for k in range(-9, 10, 2):
+            for n in range(-30, 31):
+                assert exponent_sum(beta(k, n)) == sign_sum(beta(k, n)) == 3 * k + n
+
 
 class TestWordFamilies:
     def test_beta_layout(self):
