@@ -5,8 +5,8 @@ The package is organised in five layers:
 
 ``gofknots.words``
     Braid words in the three-strand braid group as immutable tuples of
-    signed generator indices, with parsing, formatting, free reduction,
-    and the word families the classification is built from.
+    signed generator indices, with parsing, formatting and the word
+    families the classification is built from.
 
 ``gofknots.burau``
     The integral representation of the three-strand braid group by

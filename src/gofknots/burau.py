@@ -16,14 +16,11 @@ no matrix is built per letter.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Literal
 
 from ._record import Record
 from .words import BraidWord, exponent_sum
 
 __all__ = [
-    "IDENTITY_MATRIX",
-    "MonodromyType",
     "SL2Matrix",
     "classify_monodromy",
     "equal_in_b3",
@@ -31,9 +28,6 @@ __all__ = [
     "represent",
     "trace",
 ]
-
-MonodromyType = Literal["periodic", "reducible", "pseudo-Anosov"]
-
 
 class SL2Matrix(Record):
     """A 2x2 integer matrix of determinant one."""
@@ -64,9 +58,6 @@ class SL2Matrix(Record):
 
     def rows(self) -> list[list[int]]:
         return [[self.a, self.b], [self.c, self.d]]
-
-
-IDENTITY_MATRIX = SL2Matrix(1, 0, 0, 1)
 
 
 def represent(w: BraidWord) -> SL2Matrix:
@@ -102,9 +93,10 @@ def homology_order(w: BraidWord) -> int:
     return abs(2 - represent(w).trace)
 
 
-def classify_monodromy(w: BraidWord) -> MonodromyType:
+def classify_monodromy(w: BraidWord) -> str:
     """Nielsen-Thurston type of the mapping class of ``w`` on the
-    once-punctured torus, read off the trace of its homology action."""
+    once-punctured torus, read off the trace of its homology action:
+    "periodic", "reducible" or "pseudo-Anosov"."""
     t = abs(trace(w))
     if t > 2:
         return "pseudo-Anosov"

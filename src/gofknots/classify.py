@@ -22,7 +22,7 @@ off the two-bridge witness.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
 
 from ._record import Record
 from .burau import trace
@@ -83,7 +83,7 @@ class NotLensSpace(Record):
         return "NotLensSpace"
 
 
-Label = Union[HopfPlumbing, ExceptionL72, NotLensSpace]
+Label = HopfPlumbing | ExceptionL72 | NotLensSpace
 
 
 class ClassificationResult(Record):
@@ -93,9 +93,9 @@ class ClassificationResult(Record):
     n: int
     word: BraidWord
     is_two_bridge: bool
-    two_bridge: Optional[TwoBridgeForm]
-    lens_space: Optional[LensSpace]
-    witness: Optional[Witness]
+    two_bridge: TwoBridgeForm | None
+    lens_space: LensSpace | None
+    witness: Witness | None
     label: Label
     description: str
 
@@ -119,56 +119,68 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
     return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 
-def is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, Witness]]:
-    """Decide whether the closure of ``w`` is a two-bridge link.
+def _witness(w: BraidWord) -> Witness | None:
+    """The first candidate (p, q) whose standard form is conjugate to ``w``.
 
-    The first candidate (p, q) whose standard form is conjugate to the word
-    is the witness, and the closure is b(2pq+p+q, 2q+1).  The mirror is
-    never tested: by the identity s1^2 mirror(standard_form(p, q)) s1^-2 =
-    standard_form(-p-1, -q-1), a word whose mirror is conjugate to
-    standard_form(p, q) is itself conjugate to standard_form(-p-1, -q-1),
-    which has the word's exponent sum and trace and so is among its
-    candidates.  A candidate with 2pq+p+q = 0 means homology order zero,
-    the unlink class, which has no normal form and is skipped.
+    The mirror is never tested: by the identity s1^2
+    mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1), a word
+    whose mirror is conjugate to standard_form(p, q) is itself conjugate to
+    standard_form(-p-1, -q-1), which has the word's exponent sum and trace
+    and so is among its candidates.
     """
     for p, q in candidate_pq(w):
-        alpha = 2 * p * q + p + q
-        if alpha and are_conjugate(w, standard_form(p, q)):
-            return normalize_two_bridge(alpha, 2 * q + 1), (p, q)
+        if are_conjugate(w, standard_form(p, q)):
+            return p, q
     return None
+
+
+def _form_of(witness: Witness) -> TwoBridgeForm | None:
+    """The closure b(2pq+p+q, 2q+1) of standard_form(p, q), or None when
+    2pq+p+q = 0: homology order zero, the two-component unlink, which has
+    no normal form.  Only the witnesses (0, 0) and (-1, -1) have it,
+    because 2(2pq+p+q) + 1 = (2p+1)(2q+1)."""
+    p, q = witness
+    alpha = 2 * p * q + p + q
+    return normalize_two_bridge(alpha, 2 * q + 1) if alpha else None
+
+
+def is_two_bridge_closure(w: BraidWord) -> tuple[TwoBridgeForm, Witness] | None:
+    """Decide whether the closure of ``w`` is a two-bridge link: its form
+    and witness (p, q), or None for no witness or an unlink witness."""
+    witness = _witness(w)
+    form = None if witness is None else _form_of(witness)
+    return None if form is None else (form, witness)
 
 
 def classify_gof(k: int, n: int) -> ClassificationResult:
     """Classify the genus-one fibered knot over the braid axis of the
-    closure of beta(k, n); k must be odd.  Of the closures that are not
-    two-bridge, only the unlink cells beta(e, -2e), |e| = 1, are labelled
-    plumbings, with r = 0; the rest are NotLensSpace."""
+    closure of beta(k, n); k must be odd.  The label is read off the
+    witness, NotLensSpace without one; the unlink cells (1, -2) and (-1, 2)
+    have a witness but no form, and their record shows neither."""
     if k % 2 == 0:
         raise ValueError(f"k must be odd, got {k}")
     word = beta(k, n)
-    hit = is_two_bridge_closure(word)
-    if hit is None:
-        e = exponent_sum(word)
-        unlink = abs(e) == 1 and are_conjugate(word, beta(e, -2 * e))
-        label = HopfPlumbing(r=0, band_sign=e) if unlink else NotLensSpace()
-        form = space = witness = None
-    else:
-        form, witness = hit
-        space = lens_space_of(form)
-        label = _label_for(k, witness, space)
+    witness = _witness(word)
+    form = None if witness is None else _form_of(witness)
+    space = None if form is None else lens_space_of(form)
+    label = NotLensSpace() if witness is None else _label_for(k, witness, space)
+    if form is None:
+        witness = None
     return ClassificationResult(
-        k, n, word, hit is not None, form, space, witness, label, _describe(label)
+        k, n, word, form is not None, form, space, witness, label, _describe(label)
     )
 
 
-def _label_for(k: int, witness: Witness, space: LensSpace) -> Label:
-    """The label of a two-bridge beta(k, n), read off its witness (p, q).
+def _label_for(k: int, witness: Witness, space: LensSpace | None) -> Label:
+    """The label of beta(k, n), read off its witness (p, q).
 
     standard_form(x, 0) ~ beta(1, x - 2) and standard_form(y, -1) ~
     beta(-1, y + 3): a witness with a root 0 is on the +1 plumbing row,
     one with a root -1 on the -1 row, and r = band (2pq + p + q).  The S^3
     cells (1, -3) and (-1, 3) have both roots and keep the band of k's
-    sign.  Any other witness is the exception in L(7, 2) or L(7, 3).
+    sign.  The unlink witnesses (0, 0) and (-1, -1) give r = 0 on the
+    +1 and -1 rows.  Any other witness is the exception in L(7, 2) or
+    L(7, 3).
     """
     p, q = witness
     if {p, q} == {0, -1}:

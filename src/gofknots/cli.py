@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .burau import equal_in_b3, homology_order, represent
@@ -62,7 +62,7 @@ def _print_record(record: dict) -> None:
         print(f"{key}: {_fmt(value)}")
 
 
-def _form_fields(form: Optional[TwoBridgeForm], space: Optional[LensSpace]) -> dict:
+def _form_fields(form: TwoBridgeForm | None, space: LensSpace | None) -> dict:
     """The two-bridge form and lens space fields of a record, null without a form."""
     if form is None or space is None:
         return dict.fromkeys(("alpha", "beta", "lens_p", "lens_q"))
@@ -70,7 +70,7 @@ def _form_fields(form: Optional[TwoBridgeForm], space: Optional[LensSpace]) -> d
 
 
 def _closure_fields(
-    form: Optional[TwoBridgeForm], space: Optional[LensSpace], witness: Optional[Witness]
+    form: TwoBridgeForm | None, space: LensSpace | None, witness: Witness | None
 ) -> dict:
     """The form fields, then the witness (p, q).  No mirror is ever tested,
     so ``mirrored`` is false on a two-bridge record and null otherwise."""
@@ -327,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     # The Conway tuple may itself start with "-"; a "--" separator keeps
     # argparse from reading it as an option.

@@ -11,7 +11,7 @@ Conway tuples are evaluated as exact continued fractions in integers.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from collections.abc import Iterator
 
 from ._record import Record
 
@@ -194,7 +194,7 @@ def _standard_pairs(a: TwoBridgeForm, shift: int) -> Iterator[tuple[int, int]]:
                 yield p, q
 
 
-def murasugi_braid_index(a: TwoBridgeForm) -> Optional[int]:
+def murasugi_braid_index(a: TwoBridgeForm) -> int | None:
     """Braid index certificate for a two-bridge link: 2, 3, or None.
 
     The link has braid index 2 when 1 is an odd representative of the
@@ -213,7 +213,7 @@ def murasugi_braid_index(a: TwoBridgeForm) -> Optional[int]:
     return None
 
 
-def stoimenow_form(a: TwoBridgeForm) -> Optional[ConwayTuple]:
+def stoimenow_form(a: TwoBridgeForm) -> ConwayTuple | None:
     """The least Conway tuple (p, 2, q), p, q >= 1, whose fraction
     normalizes to ``a`` or to its mirror, or None.
 

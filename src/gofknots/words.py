@@ -13,7 +13,6 @@ Token grammar (whitespace separated, forms may be mixed):
 
 from __future__ import annotations
 
-import random
 import re
 
 from ._record import Record
@@ -21,22 +20,21 @@ from ._record import Record
 __all__ = [
     "BraidParseError",
     "BraidWord",
-    "IDENTITY",
     "beta",
     "concat",
     "conjugate_by",
     "exponent_sum",
     "format_braid",
-    "free_reduce",
-    "insert_full_twists",
     "inverse",
     "mirror",
     "parse_braid",
-    "scramble",
     "standard_form",
 ]
 
 _VALID_LETTERS = frozenset((1, -1, 2, -2))
+# The most letters beta or a power token may build; larger words are
+# refused before any allocation instead of exhausting memory.
+_MAX_LETTERS = 10**7
 
 
 class BraidParseError(ValueError):
@@ -66,8 +64,6 @@ class BraidWord(Record):
         return format_braid(self)
 
 
-IDENTITY = BraidWord()
-
 _SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
 _TOKENS_BACK = {1: "a", -1: "A", 2: "b", -2: "B"}
 # ASCII digits only: \d would also take digits of other scripts.
@@ -90,6 +86,8 @@ def parse_braid(text: str) -> BraidWord:
         exponent = int(power) if power is not None else 1
         if exponent == 0:
             raise BraidParseError(f"zero exponent in token {token!r}")
+        if len(letters) + abs(exponent) > _MAX_LETTERS:
+            raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
         letters.extend(_power(int(index), exponent))
     return BraidWord(tuple(letters))
 
@@ -123,21 +121,6 @@ def conjugate_by(w: BraidWord, g: BraidWord) -> BraidWord:
     return concat(concat(g, w), inverse(g))
 
 
-def free_reduce(w: BraidWord) -> BraidWord:
-    """Cancel adjacent inverse pairs until none remain.
-
-    Only free cancellation is applied; the braid relation is never used, so
-    distinct braid words with equal images stay distinct.
-    """
-    stack: list[int] = []
-    for letter in w.letters:
-        if stack and stack[-1] == -letter:
-            stack.pop()
-        else:
-            stack.append(letter)
-    return BraidWord(tuple(stack))
-
-
 def exponent_sum(w: BraidWord) -> int:
     """Sum of letter signs, a conjugacy invariant.
 
@@ -154,6 +137,9 @@ def beta(k: int, n: int) -> BraidWord:
     Negative powers expand through inverse letters, so the length is
     always 3|k| + |n| and the exponent sum 3k + n.
     """
+    length = 3 * abs(k) + abs(n)
+    if length > _MAX_LETTERS:
+        raise ValueError(f"beta({k}, {n}) has {length} letters, more than {_MAX_LETTERS}")
     triple = (2, 1, 2) if k >= 0 else (-2, -1, -2)
     return BraidWord(triple * abs(k) + _power(1, n))
 
@@ -162,39 +148,3 @@ def standard_form(p: int, q: int) -> BraidWord:
     """The word s2^-1 s1^p s2^2 s1^q, the reference shape for two-bridge
     closures of three-strand braids."""
     return BraidWord((-2,) + _power(1, p) + (2, 2) + _power(1, q))
-
-
-def insert_full_twists(w: BraidWord, count: int) -> BraidWord:
-    """Prepend (s2 s1 s2)^(4*count); the exponent sum grows by 12*count."""
-    triple = (2, 1, 2) if count >= 0 else (-2, -1, -2)
-    return BraidWord(triple * (4 * abs(count)) + w.letters)
-
-
-# Insertion blocks for scramble: four cancelling pairs, then the braid
-# relator s1 s2 s1 (s2 s1 s2)^-1 and its inverse.
-_PADDING_BLOCKS = (
-    (1, -1),
-    (-1, 1),
-    (2, -2),
-    (-2, 2),
-    (1, 2, 1, -2, -1, -2),
-    (2, 1, 2, -1, -2, -1),
-)
-
-
-def scramble(w: BraidWord, seed: int, steps: int) -> BraidWord:
-    """Grow ``w`` into a longer word equal to it in the braid group.
-
-    Each step inserts a cancelling pair or a relator block at a position
-    drawn from a generator seeded with ``seed``, so identical arguments
-    always produce identical output.
-    """
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    rng = random.Random(seed)
-    letters = w.letters
-    for _ in range(steps):
-        position = rng.randrange(len(letters) + 1)
-        block = _PADDING_BLOCKS[rng.randrange(len(_PADDING_BLOCKS))]
-        letters = letters[:position] + block + letters[position:]
-    return BraidWord(letters)

@@ -1,4 +1,5 @@
-"""Independent oracles the tests compare the library against.
+"""Independent oracles the tests compare the library against, and the
+generators of their test words.
 
 None is used by the library: ``psl_matrix`` multiplies a second image
 table over the quotient syllables, ``find_conjugator_brute`` searches
@@ -7,14 +8,17 @@ conjugators exhaustively instead of deciding conjugacy in the quotient,
 the homology order instead of the signed trace, ``table_label`` writes
 the theorem's labels out by cell instead of reading them off the witness,
 and ``fraction_from_conway_by_fractions`` evaluates Conway tuples with
-``fractions.Fraction`` instead of integer continuants.
+``fractions.Fraction`` instead of integer continuants.  ``scramble``
+grows a word into a longer one equal to it in the braid group, and
+``free_reduce`` cancels adjacent inverse pairs.
 """
 
 import math
+import random
 from fractions import Fraction
 from typing import Optional
 
-from gofknots.burau import IDENTITY_MATRIX, SL2Matrix, homology_order, represent
+from gofknots.burau import SL2Matrix, homology_order, represent
 from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
 from gofknots.twobridge import ConwayTuple, DegenerateNotationError
@@ -30,7 +34,7 @@ _PSL_IMAGES = {
 def psl_matrix(fw: FreeProductWord) -> SL2Matrix:
     """Matrix image of a syllable word; agrees with the braid matrix of any
     preimage up to one global sign."""
-    matrix = IDENTITY_MATRIX
+    matrix = SL2Matrix(1, 0, 0, 1)
     for syllable in fw.syllables:
         matrix = matrix * _PSL_IMAGES[syllable]
     return matrix
@@ -67,7 +71,7 @@ def find_conjugator_brute(u: BraidWord, v: BraidWord, max_len: int) -> Optional[
         return None
 
     for length in range(max_len + 1):
-        found = search((), IDENTITY_MATRIX, length)
+        found = search((), SL2Matrix(1, 0, 0, 1), length)
         if found is not None:
             return BraidWord(found)
     return None
@@ -132,3 +136,48 @@ def fraction_from_conway_by_fractions(entries: ConwayTuple) -> tuple[int, int]:
     if numerator < 0:
         numerator, denominator = -numerator, -denominator
     return numerator, denominator
+
+
+def free_reduce(w: BraidWord) -> BraidWord:
+    """Cancel adjacent inverse pairs until none remain.
+
+    Only free cancellation is applied; the braid relation is never used, so
+    distinct braid words with equal images stay distinct.
+    """
+    stack: list[int] = []
+    for letter in w.letters:
+        if stack and stack[-1] == -letter:
+            stack.pop()
+        else:
+            stack.append(letter)
+    return BraidWord(tuple(stack))
+
+
+# Insertion blocks for scramble: four cancelling pairs, then the braid
+# relator s1 s2 s1 (s2 s1 s2)^-1 and its inverse.
+_PADDING_BLOCKS = (
+    (1, -1),
+    (-1, 1),
+    (2, -2),
+    (-2, 2),
+    (1, 2, 1, -2, -1, -2),
+    (2, 1, 2, -1, -2, -1),
+)
+
+
+def scramble(w: BraidWord, seed: int, steps: int) -> BraidWord:
+    """Grow ``w`` into a longer word equal to it in the braid group.
+
+    Each step inserts a cancelling pair or a relator block at a position
+    drawn from a generator seeded with ``seed``, so identical arguments
+    always produce identical output.
+    """
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    rng = random.Random(seed)
+    letters = w.letters
+    for _ in range(steps):
+        position = rng.randrange(len(letters) + 1)
+        block = _PADDING_BLOCKS[rng.randrange(len(_PADDING_BLOCKS))]
+        letters = letters[:position] + block + letters[position:]
+    return BraidWord(letters)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from gofknots.burau import (
-    IDENTITY_MATRIX,
+    SL2Matrix,
     classify_monodromy,
     homology_order,
     represent,
@@ -40,12 +40,10 @@ from gofknots.words import (
     beta,
     conjugate_by,
     exponent_sum,
-    free_reduce,
-    scramble,
     standard_form,
 )
 
-from oracles import find_conjugator_brute, psl_matrix
+from oracles import find_conjugator_brute, free_reduce, psl_matrix, scramble
 
 GRID_K = tuple(range(-9, 10, 2))
 GRID_N = tuple(range(-30, 31))
@@ -277,7 +275,7 @@ def test_criterion_7_representation_sanity():
         p = psl_matrix(project(word))
         if p != m and p != -m:
             problems.append(f"quotient matrix off by more than sign on {word}")
-    if represent(BraidWord((2, 1, 2) * 4)) != IDENTITY_MATRIX:
+    if represent(BraidWord((2, 1, 2) * 4)) != SL2Matrix(1, 0, 0, 1):
         problems.append("(s2 s1 s2)^4 does not map to the identity")
     for n in range(-20, 21):
         if trace(beta(1, n)) != -n:

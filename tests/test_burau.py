@@ -6,7 +6,6 @@ import pytest
 
 from gofknots import burau
 from gofknots.burau import (
-    IDENTITY_MATRIX,
     SL2Matrix,
     classify_monodromy,
     equal_in_b3,
@@ -18,7 +17,6 @@ from gofknots.words import (
     BraidWord,
     beta,
     concat,
-    insert_full_twists,
     inverse,
     parse_braid,
     standard_form,
@@ -42,7 +40,7 @@ _REFERENCE_IMAGES = {
 
 
 def reference_represent(w):
-    matrix = IDENTITY_MATRIX
+    matrix = SL2Matrix(1, 0, 0, 1)
     for letter in w.letters:
         matrix = matrix * _REFERENCE_IMAGES[letter]
     return matrix
@@ -60,7 +58,7 @@ class TestSL2Matrix:
 
     def test_multiplication_and_negation(self):
         j = SL2Matrix(0, 1, -1, 0)
-        assert j * j == -IDENTITY_MATRIX
+        assert j * j == -SL2Matrix(1, 0, 0, 1)
         assert (-j).rows() == [[0, -1], [1, 0]]
 
     def test_trace_and_rows(self):
@@ -82,14 +80,14 @@ class TestRepresent:
     def test_half_twist_image_has_order_four(self):
         half_twist = represent(parse_braid("b a b"))
         assert half_twist.rows() == [[0, 1], [-1, 0]]
-        assert half_twist * half_twist == -IDENTITY_MATRIX
-        assert represent(parse_braid("b a b b a b b a b b a b")) == IDENTITY_MATRIX
+        assert half_twist * half_twist == -SL2Matrix(1, 0, 0, 1)
+        assert represent(parse_braid("b a b b a b b a b b a b")) == SL2Matrix(1, 0, 0, 1)
 
     def test_inverse_words_invert_matrices(self):
         rng = random.Random(3)
         for _ in range(30):
             word = random_word(rng)
-            assert represent(concat(word, inverse(word))) == IDENTITY_MATRIX
+            assert represent(concat(word, inverse(word))) == SL2Matrix(1, 0, 0, 1)
 
     def test_determinant_one_on_random_words(self):
         rng = random.Random(5)
@@ -180,7 +178,7 @@ class TestTraceAndHomology:
 
     def test_full_twists_preserve_matrix_image(self):
         word = beta(1, 3)
-        assert represent(insert_full_twists(word, 3)) == represent(word)
+        assert represent(concat(beta(12, 0), word)) == represent(word)
 
 
 class TestMonodromy:
@@ -209,7 +207,7 @@ class TestEquality:
     def test_central_powers_are_separated_by_exponent_sum(self):
         # (b a b)^4 maps to the identity matrix but is not the identity braid
         full_twist_squared = parse_braid("b a b b a b b a b b a b")
-        assert represent(full_twist_squared) == IDENTITY_MATRIX
+        assert represent(full_twist_squared) == SL2Matrix(1, 0, 0, 1)
         assert not equal_in_b3(full_twist_squared, BraidWord())
 
     def test_free_insertion_preserves_equality(self):

@@ -347,6 +347,20 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == "error: generator index out of range in token 's01^2'\n"
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("beta", "1000000000", "0"),
+            ("classify", "1000000001", "0"),
+            ("table", "--k=1000000001", "--n=0..0"),
+            ("closure", "s1^1000000000"),
+        ],
+    )
+    def test_over_long_words_exit_2(self, args):
+        code, out, err = run_cli(*args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unlink_lens_parameters_exit_2(self):
         code, _, err = run_cli("lens-eq", "0", "3", "1", "0")
         assert code == 2

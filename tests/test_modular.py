@@ -22,11 +22,10 @@ from gofknots.words import (
     exponent_sum,
     inverse,
     parse_braid,
-    scramble,
     standard_form,
 )
 
-from oracles import find_conjugator_brute, psl_matrix
+from oracles import find_conjugator_brute, psl_matrix, scramble
 
 
 def random_word(rng, max_len=30):

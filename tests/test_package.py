@@ -1,6 +1,6 @@
 """The package namespace re-exports exactly the layers' public names, no
 layer borrows another's private names, and the command runs as a module
-without loading dataclasses or json at start-up."""
+without loading dataclasses, json, typing or random at start-up."""
 
 import ast
 import json
@@ -87,6 +87,23 @@ def test_cli_import_loads_no_code_generation_or_json():
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["label"] == "ExceptionL72(+1)"
+
+
+def test_cli_import_loads_neither_typing_nor_random():
+    # -S skips the site hook, which may import both itself and so hide an
+    # import by the package
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, gofknots.cli; print(' '.join(sys.modules))"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "gofknots.cli" in loaded
+    assert loaded.isdisjoint({"typing", "random"}), loaded & {"typing", "random"}
 
 
 def test_verify_paper_runs_as_a_module():
