@@ -176,13 +176,28 @@ class TestWordFamilies:
         assert standard_form(-1, -2).letters == (-2, -1, 2, 2, -1, -1)
         assert standard_form(0, 0).letters == (-2, 2, 2)
 
-    def test_full_twists_shift_exponent_sum_keep_matrix(self):
-        # (s2 s1 s2)^4 is a full twist squared, central with matrix I
+    # c full twists squared are prepended as beta(4 * c, 0): (s2 s1 s2)^4 is
+    # central with matrix I, so the word's matrix is kept and e moves by 12c
+
+    def test_insert_full_twists(self):
         word = parse_braid("a b A")
-        for c in (-1, 0, 2):
-            twisted = concat(beta(4 * c, 0), word)
-            assert exponent_sum(twisted) == exponent_sum(word) + 12 * c
-            assert represent(twisted) == represent(word)
+        twisted = concat(beta(4 * 2, 0), word)
+        assert len(twisted) == len(word) + 24
+        assert twisted.letters[:6] == (2, 1, 2, 2, 1, 2)
+        assert twisted.letters[-3:] == word.letters
+        assert exponent_sum(twisted) == exponent_sum(word) + 24
+        assert represent(twisted) == represent(word)
+
+    def test_insert_full_twists_negative_count(self):
+        word = parse_braid("a")
+        twisted = concat(beta(4 * -1, 0), word)
+        assert twisted.letters[:3] == (-2, -1, -2)
+        assert exponent_sum(twisted) == exponent_sum(word) - 12
+        assert represent(twisted) == represent(word)
+
+    def test_insert_zero_twists_is_identity_operation(self):
+        word = parse_braid("a b")
+        assert concat(beta(4 * 0, 0), word) == word
 
 
 class TestScramble:
