@@ -127,9 +127,26 @@ def _witness(w: BraidWord) -> Witness | None:
     whose mirror is conjugate to standard_form(p, q) is itself conjugate to
     standard_form(-p-1, -q-1), which has the word's exponent sum and trace
     and so is among its candidates.
+
+    Candidates with |p| + |q| > len(w) + 5 are skipped unbuilt: conjugates
+    have cores of one length, the core of ``w`` has at most 2 len(w)
+    syllables (two per letter), and that of standard_form(p, q) at least
+    2(|p| + |q|) - 10.  Proof: with T = XY, the image of s1, and s2 = X s1
+    X, the form is the cyclic word X T^-1 X T^p X T^2 X T^q, and X T^-1 X
+    = T X T turns it into X T^u X T^2 X T^v, u = p + 1, v = q + 1.  For
+    |a| >= 2, X T^a reduces to 2|a| - 1 syllables if a > 0, 2|a| + 1 if
+    a < 0, and blocks cancel only at their joins: one syllable between two
+    positive blocks, three between two negative ones; a lone X T^a keeps
+    2|a| - 2.  So |u|, |v| >= 2 gives 2(|p| + |q|) + 2, or - 2 when u, v
+    < 0.  Else X T^0 X = 1 and X T^+-1 X = T^-+1 X T^-+1 leave X T^(p+3)
+    for v = 0, X T^(p-2) for v = 1 and X T^(p+2) X T^3 for v = -1 (u
+    likewise: reversal swaps p and q).  The least is 2|p| - 8 = 2(|p| +
+    |q|) - 10 at q = -1, p <= -5; an exponent left in {-1, 0, 1} means
+    |p| + |q| <= 5, where the bound is not positive.
     """
+    bound = len(w) + 5
     for p, q in candidate_pq(w):
-        if are_conjugate(w, standard_form(p, q)):
+        if abs(p) + abs(q) <= bound and are_conjugate(w, standard_form(p, q)):
             return p, q
     return None
 

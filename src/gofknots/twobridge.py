@@ -1,11 +1,11 @@
 """Two-bridge link normal forms, lens spaces, and braid-index criteria.
 
-A two-bridge link is written b(alpha, beta) with coprime parameters; the
-unoriented link type depends only on alpha and the class of beta up to
-inversion mod alpha, so forms are stored with the canonical representative
-min(beta, beta^-1) mod alpha.  The double branched cover of b(alpha, beta)
-is the lens space L(alpha, beta), which gets the same canonicalization.
-Conway tuples are evaluated as exact continued fractions in integers.
+The two-bridge link b(p, q) and its double branched cover, the lens space
+L(p, q), are named by one coprime pair and stored in one canonical form:
+a negative p flips the signs of both entries, and q becomes the least of
+q and q^-1 mod p, (0, 1) for p = 0 and (1, 0) for p = 1.  The unoriented
+link and the oriented lens space depend only on that form.  Conway tuples
+are evaluated as exact continued fractions in integers.
 """
 
 from __future__ import annotations
@@ -60,12 +60,18 @@ def fraction_from_conway(entries: ConwayTuple) -> tuple[int, int]:
     return (-num, -den) if (num, den) < (0, 0) else (num, den)
 
 
-def _canonical_residue(alpha: int, beta: int) -> int:
-    """min(beta, beta^-1) mod alpha for alpha >= 1; alpha = 1 gives 0."""
-    if alpha == 1:
-        return 0
-    residue = beta % alpha
-    return min(residue, pow(residue, -1, alpha))
+def _canonical(p: int, q: int) -> tuple[int, int]:
+    """The canonical form of the coprime pair (p, q): both signs flipped
+    when p < 0, then (0, 1) for p = 0, (1, 0) for p = 1, and otherwise p
+    with the least of q and q^-1 mod p."""
+    if p < 0:
+        p, q = -p, -q
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"parameters ({p}, {q}) are not coprime")
+    if p <= 1:
+        return p, 1 - p
+    residue = q % p
+    return p, min(residue, pow(residue, -1, p))
 
 
 class TwoBridgeForm(Record):
@@ -79,18 +85,9 @@ class TwoBridgeForm(Record):
     beta_canonical: int
 
     def __post_init__(self) -> None:
-        if self.alpha < 1:
-            raise ValueError("alpha must be at least 1")
-        if not 0 <= self.beta_canonical < self.alpha:
-            raise ValueError("beta_canonical out of range")
-        if self.alpha == 1:
-            if self.beta_canonical != 0:
-                raise ValueError("alpha = 1 forces beta_canonical = 0")
-            return
-        if math.gcd(self.alpha, self.beta_canonical) != 1:
-            raise ValueError("parameters must be coprime")
-        if self.beta_canonical != _canonical_residue(self.alpha, self.beta_canonical):
-            raise ValueError("beta_canonical is not canonical")
+        pair = (self.alpha, self.beta_canonical)
+        if pair[0] < 1 or _canonical(*pair) != pair:
+            raise ValueError(f"{self} is not canonical")
 
     def __str__(self) -> str:
         return f"b({self.alpha},{self.beta_canonical})"
@@ -104,11 +101,7 @@ def normalize_two_bridge(alpha: int, beta: int) -> TwoBridgeForm:
     """
     if alpha == 0:
         raise NotTwoBridgeLinkError("alpha = 0 names the unlink class")
-    if alpha < 0:
-        alpha, beta = -alpha, -beta
-    if math.gcd(alpha, beta) != 1:
-        raise ValueError(f"parameters ({alpha}, {beta}) are not coprime")
-    return TwoBridgeForm(alpha, _canonical_residue(alpha, beta))
+    return TwoBridgeForm(*_canonical(alpha, beta))
 
 
 def mirror_two_bridge(a: TwoBridgeForm) -> TwoBridgeForm:
@@ -127,22 +120,9 @@ class LensSpace(Record):
     q_canonical: int
 
     def __post_init__(self) -> None:
-        if self.p < 0:
-            raise ValueError("p must be nonnegative")
-        if self.p == 0:
-            if self.q_canonical != 1:
-                raise ValueError("p = 0 forces q_canonical = 1")
-            return
-        if self.p == 1:
-            if self.q_canonical != 0:
-                raise ValueError("p = 1 forces q_canonical = 0")
-            return
-        if not 0 < self.q_canonical < self.p:
-            raise ValueError("q_canonical out of range")
-        if math.gcd(self.p, self.q_canonical) != 1:
-            raise ValueError("parameters must be coprime")
-        if self.q_canonical != _canonical_residue(self.p, self.q_canonical):
-            raise ValueError("q_canonical is not canonical")
+        pair = (self.p, self.q_canonical)
+        if _canonical(*pair) != pair:  # a negative p is never canonical
+            raise ValueError(f"{self} is not canonical")
 
     def __str__(self) -> str:
         return f"L({self.p},{self.q_canonical})"
@@ -150,32 +130,18 @@ class LensSpace(Record):
 
 def lens_space(p: int, q: int) -> LensSpace:
     """Canonical form of L(p, q); negative p flips both signs."""
-    if p < 0:
-        p, q = -p, -q
-    if p == 0:
-        if abs(q) != 1:
-            raise ValueError("L(0, q) requires q = +-1")
-        return LensSpace(0, 1)
-    if math.gcd(p, q) != 1:
-        raise ValueError(f"parameters ({p}, {q}) are not coprime")
-    return LensSpace(p, _canonical_residue(p, q))
+    return LensSpace(*_canonical(p, q))
 
 
 def lens_space_of(a: TwoBridgeForm) -> LensSpace:
     """The double branched cover of the link b(alpha, beta)."""
-    return lens_space(a.alpha, a.beta_canonical)
+    return LensSpace(a.alpha, a.beta_canonical)
 
 
 def lens_equiv(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool:
     """Homeomorphism of lens spaces: q' = q^{+-1} mod p, with the mirror
     classes -q^{+-1} also admitted when ``oriented`` is false."""
-    if a.p != b.p:
-        return False
-    if a.q_canonical == b.q_canonical:
-        return True
-    if oriented or a.p <= 1:
-        return False
-    return b.q_canonical == _canonical_residue(a.p, -a.q_canonical)
+    return a == b or (not oriented and b == lens_space(a.p, -a.q_canonical))
 
 
 def _standard_pairs(a: TwoBridgeForm, shift: int) -> Iterator[tuple[int, int]]:

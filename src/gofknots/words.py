@@ -83,7 +83,11 @@ def parse_braid(text: str) -> BraidWord:
         index, power = match.groups()
         if index not in ("1", "2"):
             raise BraidParseError(f"generator index out of range in token {token!r}")
-        exponent = int(power) if power is not None else 1
+        power = power or "1"
+        # int() has its own error past 4,300 digits, so a power with more
+        # digits than the budget is taken, unread, as just past it
+        too_long = len(power.lstrip("-0")) > len(str(_MAX_LETTERS))
+        exponent = _MAX_LETTERS + 1 if too_long else int(power)
         if exponent == 0:
             raise BraidParseError(f"zero exponent in token {token!r}")
         if len(letters) + abs(exponent) > _MAX_LETTERS:
@@ -146,5 +150,10 @@ def beta(k: int, n: int) -> BraidWord:
 
 def standard_form(p: int, q: int) -> BraidWord:
     """The word s2^-1 s1^p s2^2 s1^q, the reference shape for two-bridge
-    closures of three-strand braids."""
+    closures of three-strand braids, |p| + |q| + 3 letters long.  Refused
+    past the letter budget plus eight, the most a candidate classify builds
+    can pass its word by, so that every word under the budget is decided."""
+    length, limit = abs(p) + abs(q) + 3, _MAX_LETTERS + 8
+    if length > limit:
+        raise ValueError(f"standard_form({p}, {q}) has {length} letters, more than {limit}")
     return BraidWord((-2,) + _power(1, p) + (2, 2) + _power(1, q))

@@ -7,8 +7,10 @@ conjugators exhaustively instead of deciding conjugacy in the quotient,
 ``two_sign_candidate_pq`` solves the candidate quadratic for both signs of
 the homology order instead of the signed trace, ``table_label`` writes
 the theorem's labels out by cell instead of reading them off the witness,
-and ``fraction_from_conway_by_fractions`` evaluates Conway tuples with
-``fractions.Fraction`` instead of integer continuants.  ``scramble``
+``fraction_from_conway_by_fractions`` evaluates Conway tuples with
+``fractions.Fraction`` instead of integer continuants, and the ``old_``
+two-bridge functions spell out the canonical-pair rule once per function
+on plain (p, q) tuples instead of sharing one private rule.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
@@ -21,7 +23,7 @@ from typing import Optional
 from gofknots.burau import SL2Matrix, homology_order, represent
 from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
-from gofknots.twobridge import ConwayTuple, DegenerateNotationError
+from gofknots.twobridge import ConwayTuple, DegenerateNotationError, NotTwoBridgeLinkError
 from gofknots.words import BraidWord, exponent_sum
 
 _PSL_IMAGES = {
@@ -136,6 +138,99 @@ def fraction_from_conway_by_fractions(entries: ConwayTuple) -> tuple[int, int]:
     if numerator < 0:
         numerator, denominator = -numerator, -denominator
     return numerator, denominator
+
+
+# The two-bridge and lens-space normalizers and validators as they were
+# before they shared one canonical-pair rule, kept verbatim as a reference
+# but for records: a form or space is a plain (p, q) tuple, and each
+# validator is a function of the pair that raises where __post_init__ did.
+
+
+def _canonical_residue(alpha: int, beta: int) -> int:
+    """min(beta, beta^-1) mod alpha for alpha >= 1; alpha = 1 gives 0."""
+    if alpha == 1:
+        return 0
+    residue = beta % alpha
+    return min(residue, pow(residue, -1, alpha))
+
+
+def old_check_two_bridge_form(alpha: int, beta_canonical: int) -> None:
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    if not 0 <= beta_canonical < alpha:
+        raise ValueError("beta_canonical out of range")
+    if alpha == 1:
+        if beta_canonical != 0:
+            raise ValueError("alpha = 1 forces beta_canonical = 0")
+        return
+    if math.gcd(alpha, beta_canonical) != 1:
+        raise ValueError("parameters must be coprime")
+    if beta_canonical != _canonical_residue(alpha, beta_canonical):
+        raise ValueError("beta_canonical is not canonical")
+
+
+def old_check_lens_space(p: int, q_canonical: int) -> None:
+    if p < 0:
+        raise ValueError("p must be nonnegative")
+    if p == 0:
+        if q_canonical != 1:
+            raise ValueError("p = 0 forces q_canonical = 1")
+        return
+    if p == 1:
+        if q_canonical != 0:
+            raise ValueError("p = 1 forces q_canonical = 0")
+        return
+    if not 0 < q_canonical < p:
+        raise ValueError("q_canonical out of range")
+    if math.gcd(p, q_canonical) != 1:
+        raise ValueError("parameters must be coprime")
+    if q_canonical != _canonical_residue(p, q_canonical):
+        raise ValueError("q_canonical is not canonical")
+
+
+def old_normalize_two_bridge(alpha: int, beta: int) -> tuple[int, int]:
+    if alpha == 0:
+        raise NotTwoBridgeLinkError("alpha = 0 names the unlink class")
+    if alpha < 0:
+        alpha, beta = -alpha, -beta
+    if math.gcd(alpha, beta) != 1:
+        raise ValueError(f"parameters ({alpha}, {beta}) are not coprime")
+    form = (alpha, _canonical_residue(alpha, beta))
+    old_check_two_bridge_form(*form)
+    return form
+
+
+def old_mirror_two_bridge(a: tuple[int, int]) -> tuple[int, int]:
+    return old_normalize_two_bridge(a[0], -a[1])
+
+
+def old_lens_space(p: int, q: int) -> tuple[int, int]:
+    if p < 0:
+        p, q = -p, -q
+    if p == 0:
+        if abs(q) != 1:
+            raise ValueError("L(0, q) requires q = +-1")
+        old_check_lens_space(0, 1)
+        return (0, 1)
+    if math.gcd(p, q) != 1:
+        raise ValueError(f"parameters ({p}, {q}) are not coprime")
+    space = (p, _canonical_residue(p, q))
+    old_check_lens_space(*space)
+    return space
+
+
+def old_lens_space_of(a: tuple[int, int]) -> tuple[int, int]:
+    return old_lens_space(a[0], a[1])
+
+
+def old_lens_equiv(a: tuple[int, int], b: tuple[int, int], oriented: bool = True) -> bool:
+    if a[0] != b[0]:
+        return False
+    if a[1] == b[1]:
+        return True
+    if oriented or a[0] <= 1:
+        return False
+    return b[1] == _canonical_residue(a[0], -a[1])
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

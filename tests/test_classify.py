@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gofknots import classify, words
 from gofknots.burau import equal_in_b3, homology_order, trace
 from gofknots.classify import (
     ExceptionL72,
@@ -19,7 +20,7 @@ from gofknots.classify import (
     verify_case_analysis,
 )
 from gofknots.cli import result_to_record
-from gofknots.modular import are_conjugate
+from gofknots.modular import _cyclic_core, are_conjugate, project
 from gofknots.twobridge import (
     TwoBridgeForm,
     lens_space,
@@ -224,6 +225,45 @@ class TestIsTwoBridgeClosure:
                 else:
                     assert flipped is not None
                     assert flipped[0] == mirror_two_bridge(direct[0])
+
+    def test_standard_form_core_is_at_least_twice_its_exponents_less_ten(self):
+        # the bound _witness skips candidates by, tight at q = -1, p <= -5
+        slack = {}
+        for p in range(-60, 61):
+            for q in range(-60, 61):
+                core = _cyclic_core(project(standard_form(p, q)).syllables)
+                slack[p, q] = len(core) - 2 * (abs(p) + abs(q))
+        assert min(slack.values()) == -10
+        assert [pq for pq, value in slack.items() if value == -10 and pq[0] <= pq[1]] == [
+            (p, -1) for p in range(-60, -4)
+        ]
+
+    @pytest.mark.parametrize(
+        "text", ["s1^263 s2^-15145 s1^263 s2^-15145", "s1^109 s2^-50101 s1^109 s2^-50101"]
+    )
+    def test_candidates_longer_than_the_word_are_not_built(self, text, monkeypatch):
+        # the candidates have millions of letters: building one takes
+        # seconds and hundreds of MB
+        word = parse_braid(text)
+        candidates = candidate_pq(word)
+        assert candidates and all(abs(p) + abs(q) > len(word) + 5 for p, q in candidates)
+        built = []
+        monkeypatch.setattr(classify, "standard_form", lambda p, q: built.append((p, q)))
+        assert is_two_bridge_closure(word) is None
+        assert built == []
+
+    def test_words_at_the_letter_budget_are_decided(self, monkeypatch):
+        # a match can be longer than the word: s1^-1 s2^-m (m + 1 letters)
+        # is conjugate to standard_form(-m-1, -1) (m + 5), and a candidate
+        # can pass the word by eight letters; standard_form admits them
+        monkeypatch.setattr(words, "_MAX_LETTERS", 40)
+        for text, witness in [("s1^-1 s2^-39", (-1, -40)), ("s1 s2^39", (39, 0))]:
+            word = parse_braid(text)
+            assert len(word) == 40
+            assert is_two_bridge_closure(word)[1] == witness
+        assert len(standard_form(-44, -1)) == 48
+        with pytest.raises(ValueError, match="more than 48$"):
+            standard_form(-45, -1)
 
     def test_markov_destabilized_companions(self):
         # beta(+1, n) is conjugate to s2 s1^(n+2), and beta(-1, n) to

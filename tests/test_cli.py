@@ -354,12 +354,14 @@ class TestErrorHandling:
             ("classify", "1000000001", "0"),
             ("table", "--k=1000000001", "--n=0..0"),
             ("closure", "s1^1000000000"),
+            pytest.param(("closure", "s1^" + "9" * 5000), id="closure-s1^<5000 nines>"),
         ],
     )
     def test_over_long_words_exit_2(self, args):
         code, out, err = run_cli(*args)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Exceeds the limit" not in err  # int()'s own message for over 4,300 digits
 
     def test_unlink_lens_parameters_exit_2(self):
         code, _, err = run_cli("lens-eq", "0", "3", "1", "0")

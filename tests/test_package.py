@@ -1,8 +1,10 @@
 """The package namespace re-exports exactly the layers' public names, no
-layer borrows another's private names, and the command runs as a module
-without loading dataclasses, json, typing or random at start-up."""
+layer borrows another's private names, every function the benchmark
+traces by name exists, and the command runs as a module without loading
+dataclasses, json, typing or random at start-up."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -39,6 +41,27 @@ def test_test_oracles_are_not_exported():
     for name in ("find_conjugator_brute", "psl_matrix"):
         assert name not in gofknots.__all__
         assert not hasattr(gofknots, name)
+
+
+def test_every_traced_function_is_public_in_its_layer():
+    # bench/spans.py raises KeyError in Tracer.report for a metric whose
+    # function is gone, which breaks the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    keys = {m.how.function for m in spans.METRICS if isinstance(m.how, spans.Within)}
+    keys |= {
+        m.name.rpartition(".")[0]
+        for m in spans.METRICS
+        if m.how in (spans.CALLS, spans.SELF_S) or isinstance(m.how, (spans.Sum, spans.Max, spans.Within))
+    }
+    layers = dict(words=words, burau=burau, modular=modular, twobridge=twobridge, classify=classify)
+    assert "twobridge.normalize_two_bridge" in keys
+    for key in sorted(keys):
+        layer, name = key.split(".")
+        assert name in layers[layer].__all__, key
+        assert name in dict(spans.public_functions(layers[layer])), key
 
 
 def test_no_module_imports_a_private_name():

@@ -20,6 +20,7 @@ from gofknots.twobridge import (
     normalize_two_bridge,
     stoimenow_form,
 )
+import oracles
 from oracles import fraction_from_conway_by_fractions
 
 
@@ -278,3 +279,56 @@ class TestStoimenowForm:
 
         for form in CANONICAL_FORMS:
             assert stoimenow_form(form) == reference(form), form
+
+
+GRID = range(-60, 61)
+
+
+def _outcome(call):
+    """What ``call()`` returns, a form or space as its field pair, or the
+    type of the ValueError it raises."""
+    try:
+        result = call()
+    except ValueError as exc:
+        return type(exc)
+    return tuple(vars(result).values()) if isinstance(result, (TwoBridgeForm, LensSpace)) else result
+
+
+class TestOneCanonicalRule:
+    """The one canonical-pair rule against the rule as each function wrote
+    it out before, on every (p, q) with |p|, |q| <= 60."""
+
+    def test_normalizers_results_and_exception_types(self):
+        for p, q in itertools.product(GRID, GRID):
+            assert _outcome(lambda: normalize_two_bridge(p, q)) == _outcome(
+                lambda: oracles.old_normalize_two_bridge(p, q)
+            ), (p, q)
+            assert _outcome(lambda: lens_space(p, q)) == _outcome(
+                lambda: oracles.old_lens_space(p, q)
+            ), (p, q)
+
+    def test_records_accept_and_reject_the_same_pairs(self):
+        accepted = 0
+        for p, q in itertools.product(GRID, GRID):
+            form = _outcome(lambda: TwoBridgeForm(p, q))
+            assert form == _outcome(lambda: oracles.old_check_two_bridge_form(p, q) or (p, q)), (p, q)
+            space = _outcome(lambda: LensSpace(p, q))
+            assert space == _outcome(lambda: oracles.old_check_lens_space(p, q) or (p, q)), (p, q)
+            accepted += (form == (p, q)) + (space == (p, q))
+        assert accepted == 2 * len(CANONICAL_FORMS) + 1  # L(0,1) has no b(0, .)
+
+    def test_mirror_and_lens_space_of(self):
+        for form in CANONICAL_FORMS:
+            old = (form.alpha, form.beta_canonical)
+            assert _outcome(lambda: mirror_two_bridge(form)) == oracles.old_mirror_two_bridge(old)
+            assert _outcome(lambda: lens_space_of(form)) == oracles.old_lens_space_of(old)
+
+    def test_lens_equiv_in_both_orientations(self):
+        # every pair of one order p, and of orders p and p + 1: spaces of
+        # orders further apart take the same unequal-order path
+        spaces = {lens_space(p, q) for p, q in itertools.product(GRID, GRID) if gcd(p, q) == 1}
+        assert len(spaces) == len(CANONICAL_FORMS) + 1
+        for a, b in [(a, b) for a in spaces for b in spaces if abs(a.p - b.p) <= 1]:
+            for oriented in (True, False):
+                old = oracles.old_lens_equiv((a.p, a.q_canonical), (b.p, b.q_canonical), oriented)
+                assert lens_equiv(a, b, oriented) == old, (a, b, oriented)

@@ -78,11 +78,29 @@ class TestParseFormat:
     def test_parse_error_is_a_value_error(self):
         assert issubclass(BraidParseError, ValueError)
 
-    @pytest.mark.parametrize("text", ["s1^1000000000", "s2^-10000001", "a a a s1^9999998"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "s1^1000000000",
+            "s2^-10000001",
+            "a a a s1^9999998",
+            # int() itself refuses strings over 4,300 digits with its own message
+            pytest.param("s1^" + "9" * 5000, id="s1^<5000 nines>"),
+            pytest.param("s2^-" + "9" * 5000, id="s2^-<5000 nines>"),
+        ],
+    )
     def test_power_tokens_past_the_letter_budget_are_refused(self, text):
         # refused before the letters are built, so the huge values cost nothing
-        with pytest.raises(BraidParseError, match="longer than 10000000 letters$"):
+        with pytest.raises(BraidParseError) as excinfo:
             parse_braid(text)
+        token = text.split()[-1]
+        assert str(excinfo.value) == f"token {token!r} makes the word longer than 10000000 letters"
+
+    def test_leading_zeros_do_not_count_against_the_budget(self):
+        assert parse_braid("s1^0000000000001") == parse_braid("a")
+        assert parse_braid("s2^-000000000000003").letters == (-2, -2, -2)
+        with pytest.raises(BraidParseError, match="^zero exponent"):
+            parse_braid("s1^-0000000000000")
 
 
 class TestBraidWord:
@@ -163,6 +181,14 @@ class TestWordFamilies:
             beta(10**9, 0)
         with pytest.raises(ValueError, match="more than 10000000$"):
             beta(-1, 9999998)
+
+    def test_standard_form_past_the_letter_budget_is_refused(self):
+        # eight letters of slack over the budget: see the classify test
+        # test_words_at_the_letter_budget_are_decided
+        with pytest.raises(ValueError, match=r"^standard_form\(100000000, 0\) has 100000003 letters"):
+            standard_form(10**8, 0)
+        with pytest.raises(ValueError, match="has 10000009 letters, more than 10000008$"):
+            standard_form(-5000003, 5000003)
 
     def test_beta_length_and_exponent_sum(self):
         for k in range(-5, 6):
