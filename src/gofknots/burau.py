@@ -7,18 +7,16 @@ first homology of the double branched cover of the braid closure:
 |det(M - I)| is the order of that group, with 0 standing for an infinite
 group.  All arithmetic is exact over unbounded integers.
 
-A word is read as runs of one generator.  The closed forms
-s1^e -> [[1, e], [0, 1]] and s2^e -> [[1, 0], [-e, 1]] make right
-multiplication by a run one column operation on the running product, so
-no matrix is built per letter.
+A word is read as maximal runs of one letter (``words.run_ends``).  The
+closed forms s1^e -> [[1, e], [0, 1]] and s2^e -> [[1, 0], [-e, 1]] make
+right multiplication by a run one column operation on the running
+product, so no matrix is built and no Python step is taken per letter.
 """
 
 from __future__ import annotations
 
-from itertools import groupby
-
 from ._record import Record
-from .words import BraidWord, exponent_sum
+from .words import BraidWord, exponent_sum, run_ends
 
 __all__ = [
     "SL2Matrix",
@@ -65,18 +63,29 @@ def represent(w: BraidWord) -> SL2Matrix:
 
     The product is kept as four integers.  A run s1^e adds e times the
     first column to the second (b += e*a, d += e*c); a run s2^e subtracts
-    e times the second column from the first (a -= e*b, c -= e*d).  The
-    result is validated as an SL2Matrix once.
+    e times the second column from the first (a -= e*b, c -= e*d); a run
+    of inverse letters does the same with -e.  The result is validated as
+    an SL2Matrix once.
     """
     a, b, c, d = 1, 0, 0, 1
-    for gen, run in groupby(w.letters, abs):
-        e = sum(run) // gen
-        if gen == 1:
+    letters = w.letters
+    start = 0
+    for end in run_ends(letters):
+        letter = letters[start]
+        e = end - start
+        start = end
+        if letter == 1:
             b += e * a
             d += e * c
-        else:
+        elif letter == 2:
             a -= e * b
             c -= e * d
+        elif letter == -1:
+            b -= e * a
+            d -= e * c
+        else:
+            a += e * b
+            c += e * d
     return SL2Matrix(a, b, c, d)
 
 

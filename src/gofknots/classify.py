@@ -22,7 +22,7 @@ off the two-bridge witness.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 from ._record import Record
 from .burau import trace
@@ -35,7 +35,7 @@ from .twobridge import (
     lens_space_of,
     normalize_two_bridge,
 )
-from .words import BraidWord, beta, exponent_sum, standard_form
+from .words import BraidWord, beta, check_beta, exponent_sum, standard_form
 
 __all__ = [
     "CheckResult",
@@ -84,6 +84,9 @@ class NotLensSpace(Record):
 
 
 Label = HopfPlumbing | ExceptionL72 | NotLensSpace
+# Records are immutable and compare by value, so every cell without a
+# witness shares one label.
+_NOT_LENS_SPACE = NotLensSpace()
 
 
 class ClassificationResult(Record):
@@ -174,18 +177,22 @@ def classify_gof(k: int, n: int) -> ClassificationResult:
     closure of beta(k, n); k must be odd.  The label is read off the
     witness, NotLensSpace without one; the unlink cells (1, -2) and (-1, 2)
     have a witness but no form, and their record shows neither."""
-    if k % 2 == 0:
-        raise ValueError(f"k must be odd, got {k}")
+    _require_odd(k)
     word = beta(k, n)
     witness = _witness(word)
     form = None if witness is None else _form_of(witness)
     space = None if form is None else lens_space_of(form)
-    label = NotLensSpace() if witness is None else _label_for(k, witness, space)
+    label = _NOT_LENS_SPACE if witness is None else _label_for(k, witness, space)
     if form is None:
         witness = None
     return ClassificationResult(
         k, n, word, form is not None, form, space, witness, label, _describe(label)
     )
+
+
+def _require_odd(k: int) -> None:
+    if k % 2 == 0:
+        raise ValueError(f"k must be odd, got {k}")
 
 
 def _label_for(k: int, witness: Witness, space: LensSpace | None) -> Label:
@@ -237,13 +244,26 @@ def _describe(label: Label) -> str:
     return "the closure is not a two-bridge link, so the double branched cover is not a lens space"
 
 
+def table_cells(k_values: Iterable[int], n_values: Iterable[int]) -> Iterator[ClassificationResult]:
+    """The cells of a (k, n) grid, k ascending then n ascending, each
+    classified as it is read, so a caller can print a cell and drop it.
+
+    The grid is checked first: the ValueError of its first bad cell (an
+    even k, or a word past the letter budget) is raised before any cell
+    is classified.
+    """
+    ks, ns = sorted(set(k_values)), sorted(set(n_values))
+    if ns:
+        for k in ks:
+            _require_odd(k)
+            for n in ns:
+                check_beta(k, n)
+    return (classify_gof(k, n) for k in ks for n in ns)
+
+
 def scan_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[ClassificationResult]:
     """Classify every cell of a (k, n) grid, k ascending then n ascending."""
-    return [
-        classify_gof(k, n)
-        for k in sorted(set(k_values))
-        for n in sorted(set(n_values))
-    ]
+    return list(table_cells(k_values, n_values))
 
 
 class CheckResult(Record):

@@ -29,7 +29,7 @@ from .classify import (
     exception_isolation_checks,
     is_two_bridge_closure,
     known_conjugate_pairs,
-    scan_table,
+    table_cells,
     verify_case_analysis,
 )
 from .modular import are_conjugate, cyclic_normal_form, project
@@ -161,14 +161,20 @@ def _cmd_classify(ns: argparse.Namespace) -> int:
 
 
 def _cmd_table(ns: argparse.Namespace) -> int:
-    results = scan_table(ns.k, ns.n)
+    # Each row is printed as its cell is classified, so memory does not
+    # grow with the grid; a bad grid is refused before the first byte.
+    cells = table_cells(ns.k, ns.n)
     if ns.format == "json":
         import json  # on demand: most calls print no JSON
 
-        print(json.dumps([result_to_record(r) for r in results]))
+        # the bytes of json.dumps of the whole list, one element at a time
+        print("[", end="")
+        for i, r in enumerate(cells):
+            print(", " if i else "", json.dumps(result_to_record(r)), sep="", end="")
+        print("]")
         return 0
     print("k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel")
-    for r in results:
+    for r in cells:
         fields = _form_fields(r.two_bridge, r.lens_space)
         row = (r.k, r.n, r.is_two_bridge, fields["alpha"], fields["beta"], r.lens_space, r.label)
         print("\t".join(map(_fmt, row)))

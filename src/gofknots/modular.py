@@ -8,9 +8,13 @@ exactly when their cyclically reduced syllable words agree up to rotation.
 Together with the exponent sum, which separates the central powers the
 quotient forgets, this decides conjugacy of braids exactly.
 
-Every step is linear in the word length: projection is one stack pass,
-cyclic reduction moves two indices inward and slices once, the rotation
-test is a substring search of one core in the other core doubled, and the
+Every step is linear in the word length.  Projection walks the word's
+maximal runs of one letter: copies of one letter's image do not reduce
+against each other, so a run is reduced against the stack only until one
+copy stays on it and the rest is appended at once, and a run that meets
+no cancellation costs one Python step whatever its length.  Cyclic
+reduction moves two indices inward and slices once, the rotation test is
+a substring search of one core in the other core doubled, and the
 canonical rotation printed by ``nf`` comes from Duval's Lyndon
 factorization.
 """
@@ -18,7 +22,7 @@ factorization.
 from __future__ import annotations
 
 from ._record import Record
-from .words import BraidWord, exponent_sum
+from .words import BraidWord, exponent_sum, run_ends
 
 __all__ = [
     "FreeProductWord",
@@ -68,36 +72,73 @@ class FreeProductWord(Record):
 
 # Letter images in the quotient.  The relation check: s1 s2 s1 maps to
 # (XY)(YX)(XY) = X, the same as s2 s1 s2, and each generator cancels its
-# inverse.
+# inverse.  s1 and s2^-1 map to X Y^e, s2 and s1^-1 to Y^e X; per letter
+# the table holds whether the image starts with X, its Y-type syllable and
+# the image as bytes.
 _LETTER_IMAGES = {
-    1: (X, Y),
-    -1: (Y2, X),
-    2: (Y, X),
-    -2: (X, Y2),
+    1: (True, Y, bytes((X, Y))),
+    -1: (False, Y2, bytes((Y2, X))),
+    2: (False, Y, bytes((Y, X))),
+    -2: (True, Y2, bytes((X, Y2))),
 }
+# The bottom of the projection stack: no syllable reduces against it, and
+# like X it is 0 mod 3, so ``top % 3`` is nonzero exactly on Y and Y^2.
+_BOTTOM = 3
 
 
 def project(w: BraidWord) -> FreeProductWord:
-    """Image of a braid word in the central quotient, fully reduced."""
-    stack: list[int] = []
+    """Image of a braid word in the central quotient, fully reduced.
+
+    The word is read run by run (``words.run_ends``).  Copies of one
+    image repeat without reducing (XY XY, YX YX, Y2X Y2X and XY2 XY2 are
+    reduced words), so the copies of a run are reduced against the top of
+    the stack only until one copy stays on it; the rest of the run is
+    appended as one extend.  Each copy that cancels costs one step, so the
+    pass stays linear, and a run that meets no cancellation costs one
+    step whatever its length.  Two bottom markers spare every emptiness
+    check and keep a syllable under the top.
+    """
+    letters = w.letters
+    stack = bytearray((_BOTTOM, _BOTTOM))
     push, pop = stack.append, stack.pop
-    for letter in w.letters:
-        for syllable in _LETTER_IMAGES[letter]:
-            if not stack:
-                push(syllable)
-                continue
-            top = stack[-1]
-            if top == X or syllable == X:
-                if top == syllable:
-                    pop()  # X against X cancels
-                else:
-                    push(syllable)
-                continue
-            merged = (top + syllable) % 3
-            if merged:
-                stack[-1] = merged
-            else:
+    start = 0
+    for end in run_ends(letters):
+        x_first, y, image = _LETTER_IMAGES[letters[start]]
+        count = end - start
+        start = end
+        if x_first:  # X Y^y reduces while X is on top
+            while stack[-1] == X:
+                count -= 1
+                below = stack[-2]
+                if below == _BOTTOM:  # X cancels, Y^y stays
+                    stack[-1] = y
+                    break
+                pop()  # X against X cancels
+                merged = (below + y) % 3
+                if merged:
+                    stack[-1] = merged
+                    break
+                pop()  # the whole copy cancels
+                if not count:
+                    break
+        else:  # Y^y X reduces while Y or Y^2 is on top
+            while stack[-1] % 3:
+                count -= 1
+                merged = (stack[-1] + y) % 3
+                if merged:
+                    stack[-1] = merged
+                    push(X)
+                    break
+                if stack[-2] == _BOTTOM:  # Y-types cancel, X stays
+                    stack[-1] = X
+                    break
+                pop()  # the whole copy cancels
                 pop()
+                if not count:
+                    break
+        if count:
+            stack += image * count
+    del stack[:2]
     return FreeProductWord(tuple(stack))
 
 

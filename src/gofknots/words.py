@@ -14,6 +14,9 @@ Token grammar (whitespace separated, forms may be mixed):
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
+from itertools import chain, compress, islice
+from operator import ne
 
 from ._record import Record
 
@@ -106,6 +109,16 @@ def _power(gen: int, exponent: int) -> tuple[int, ...]:
     return (letter,) * abs(exponent)
 
 
+def run_ends(letters: tuple[int, ...]) -> Iterator[int]:
+    """The end index of every maximal run of one letter, in order, as a
+    lazy iterator: ``run_ends((1, 1, -1))`` yields 2 and 3.  A run ends
+    where a letter differs from the next, and that comparison runs at C
+    speed, so the matrix and the quotient layers take one Python step per
+    run, not per letter."""
+    following = chain(islice(letters, 1, None), (0,))  # 0 is no letter: the last run ends
+    return compress(range(1, len(letters) + 1), map(ne, letters, following))
+
+
 def concat(u: BraidWord, v: BraidWord) -> BraidWord:
     return BraidWord(u.letters + v.letters)
 
@@ -141,11 +154,16 @@ def beta(k: int, n: int) -> BraidWord:
     Negative powers expand through inverse letters, so the length is
     always 3|k| + |n| and the exponent sum 3k + n.
     """
+    check_beta(k, n)
+    triple = (2, 1, 2) if k >= 0 else (-2, -1, -2)
+    return BraidWord(triple * abs(k) + _power(1, n))
+
+
+def check_beta(k: int, n: int) -> None:
+    """Refuse beta(k, n) past the letter budget, before anything is built."""
     length = 3 * abs(k) + abs(n)
     if length > _MAX_LETTERS:
         raise ValueError(f"beta({k}, {n}) has {length} letters, more than {_MAX_LETTERS}")
-    triple = (2, 1, 2) if k >= 0 else (-2, -1, -2)
-    return BraidWord(triple * abs(k) + _power(1, n))
 
 
 def standard_form(p: int, q: int) -> BraidWord:

@@ -10,7 +10,10 @@ the theorem's labels out by cell instead of reading them off the witness,
 ``fraction_from_conway_by_fractions`` evaluates Conway tuples with
 ``fractions.Fraction`` instead of integer continuants, and the ``old_``
 two-bridge functions spell out the canonical-pair rule once per function
-on plain (p, q) tuples instead of sharing one private rule.  ``scramble``
+on plain (p, q) tuples instead of sharing one private rule.
+``old_project`` reduces the quotient image two syllables per letter and
+``old_represent`` multiplies the matrix over ``groupby`` runs of one
+generator, where the library walks maximal runs of one letter.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
@@ -18,6 +21,7 @@ grows a word into a longer one equal to it in the braid group, and
 import math
 import random
 from fractions import Fraction
+from itertools import groupby
 from typing import Optional
 
 from gofknots.burau import SL2Matrix, homology_order, represent
@@ -231,6 +235,53 @@ def old_lens_equiv(a: tuple[int, int], b: tuple[int, int], oriented: bool = True
     if oriented or a[0] <= 1:
         return False
     return b[1] == _canonical_residue(a[0], -a[1])
+
+
+_OLD_LETTER_IMAGES = {
+    1: (X, Y),
+    -1: (Y2, X),
+    2: (Y, X),
+    -2: (X, Y2),
+}
+
+
+def old_project(w: BraidWord) -> FreeProductWord:
+    """The earlier letter-by-letter projection, kept verbatim as a reference."""
+    stack: list[int] = []
+    push, pop = stack.append, stack.pop
+    for letter in w.letters:
+        for syllable in _OLD_LETTER_IMAGES[letter]:
+            if not stack:
+                push(syllable)
+                continue
+            top = stack[-1]
+            if top == X or syllable == X:
+                if top == syllable:
+                    pop()  # X against X cancels
+                else:
+                    push(syllable)
+                continue
+            merged = (top + syllable) % 3
+            if merged:
+                stack[-1] = merged
+            else:
+                pop()
+    return FreeProductWord(tuple(stack))
+
+
+def old_represent(w: BraidWord) -> SL2Matrix:
+    """The earlier fold over groupby runs of one generator, kept verbatim
+    as a reference."""
+    a, b, c, d = 1, 0, 0, 1
+    for gen, run in groupby(w.letters, abs):
+        e = sum(run) // gen
+        if gen == 1:
+            b += e * a
+            d += e * c
+        else:
+            a -= e * b
+            c -= e * d
+    return SL2Matrix(a, b, c, d)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

@@ -17,6 +17,7 @@ from gofknots.classify import (
     is_two_bridge_closure,
     known_conjugate_pairs,
     scan_table,
+    table_cells,
     verify_case_analysis,
 )
 from gofknots.cli import result_to_record
@@ -385,6 +386,9 @@ class TestClassifyGof:
         assert result.witness is None
         assert "not a two-bridge link" in result.description
 
+    def test_cells_without_a_witness_share_one_label(self):
+        assert classify_gof(5, 7).label is classify_gof(-7, 9).label
+
     def test_unlink_cell_is_flagged_in_description(self):
         result = classify_gof(1, -2)
         assert result.label == HopfPlumbing(r=0, band_sign=1)
@@ -406,6 +410,26 @@ class TestScanTable:
     def test_inputs_are_deduplicated_and_sorted(self):
         results = scan_table([3, 1, 1], [5, 5, -5])
         assert [(r.k, r.n) for r in results] == [(1, -5), (1, 5), (3, -5), (3, 5)]
+
+    def test_cells_are_classified_as_they_are_read(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(classify, "classify_gof", lambda k, n: seen.append((k, n)) or (k, n))
+        cells = table_cells([3, 1], [0, -1])
+        assert seen == []
+        assert next(cells) == (1, -1) and seen == [(1, -1)]
+        assert list(cells) == [(1, 0), (3, -1), (3, 0)]
+
+    def test_a_bad_grid_fails_before_any_cell(self, monkeypatch):
+        monkeypatch.setattr(classify, "classify_gof", lambda k, n: pytest.fail("a cell was classified"))
+        with pytest.raises(ValueError, match="^k must be odd, got 2$"):
+            table_cells([1, 2, 4], [0, 1])
+        monkeypatch.setattr(words, "_MAX_LETTERS", 40)
+        # the error of the first bad cell in grid order: n = 38 on the k = 1 row
+        with pytest.raises(ValueError, match=r"^beta\(1, 38\) has 41 letters, more than 40$"):
+            table_cells([2, 1], range(-37, 40))
+        with pytest.raises(ValueError, match=r"^beta\(3, -32\) has 41 letters, more than 40$"):
+            table_cells([3], range(-32, 33))
+        assert list(table_cells([2], [])) == []
 
 
 class TestCheckBattery:

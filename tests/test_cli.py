@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import sys
+import tracemalloc
 
 import pytest
 
-from gofknots.cli import app, main
+from gofknots.classify import scan_table
+from gofknots.cli import app, main, result_to_record
 from gofknots.words import beta, format_braid
 
 
@@ -260,6 +262,48 @@ class TestTableCommand:
         assert [r["n"] for r in records] == [0, 1, 2, 3]
         assert [r["alpha"] for r in records] == [2, 3, 4, 5]
         assert all(len(r) == 13 for r in records)
+
+    @pytest.mark.parametrize("ks, lo, hi", [([1], 0, 3), ([-3, -1, 1, 3], -8, 8), ([1], 1, 0)])
+    def test_json_is_json_dumps_of_the_whole_list(self, ks, lo, hi):
+        records = [result_to_record(r) for r in scan_table(ks, range(lo, hi + 1))]
+        argv = ("table", "--k=" + ",".join(map(str, ks)), f"--n={lo}..{hi}", "--format", "json")
+        assert run_cli(*argv) == (0, json.dumps(records) + "\n", "")
+
+    def test_empty_json_grid_is_an_empty_list(self):
+        assert run_cli("table", "--k=1", "--n=1..0", "--format", "json") == (0, "[]\n", "")
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("--k=1,2", "--n=0..1"), "k must be odd, got 2"),
+            (("--k=1", "--n=9999999..10000000"), "beta(1, 9999999) has 10000002 letters, more than 10000000"),
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_a_bad_grid_prints_nothing(self, args, message, fmt):
+        assert run_cli("table", *args, "--format", fmt) == (2, "", f"error: {message}\n")
+
+    # 4,001 and 1,001 cells: holding every record before printing peaked at
+    # 35.7 MB and 7.7 MB; tracemalloc makes the larger grid take seconds
+    @pytest.mark.parametrize("fmt, n", [("tsv", "--n=-2000..2000"), ("json", "--n=-500..500")])
+    def test_memory_does_not_grow_with_the_grid(self, fmt, n):
+        class Sink(io.TextIOBase):  # counts what is written and keeps none of it
+            written = 0
+
+            def write(self, text):
+                self.written += len(text)
+                return len(text)
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["table", "--k=1", n, "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sink.written > 100_000
+        assert peak < 2 * 2**20, peak
 
     def test_empty_range_gives_header_only(self):
         code, out, _ = run_cli("table", "--k=1", "--n=3..2")

@@ -1,0 +1,127 @@
+"""Words walked run by run: the run finder, the run-wise projection and
+matrix against their letter-by-letter references, and a cost per run that
+does not grow with the length of the run."""
+
+import random
+import sys
+
+import pytest
+
+from gofknots.burau import represent
+from gofknots.modular import are_conjugate, project
+from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
+
+from oracles import old_project, old_represent
+
+
+def periodic(m):
+    """s1^m s2^-1, the periodic family: two runs of any length."""
+    return BraidWord((1,) * m + (-2,))
+
+
+class TestRunEnds:
+    def test_empty_word_has_no_runs(self):
+        assert list(run_ends(())) == []
+
+    def test_single_letter(self):
+        assert list(run_ends(parse_braid("a").letters)) == [1]
+
+    def test_inverse_letters_end_a_run(self):
+        assert list(run_ends(parse_braid("a a A").letters)) == [2, 3]
+
+    @pytest.mark.parametrize("k", [1, 2, 5, -1, -4])
+    def test_full_twist_powers(self, k):
+        # (s2 s1 s2)^k reads b | a | b b | a | ... | a | b: 2|k| + 1 runs
+        ends = list(run_ends(beta(k, 0).letters))
+        assert len(ends) == 2 * abs(k) + 1
+        assert ends[0] == 1 and ends[-1] == 3 * abs(k)
+
+    def test_ends_are_lazy(self):
+        assert not isinstance(run_ends((1, 1, 2)), (list, tuple))
+
+    def test_runs_rebuild_the_word(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            letters = tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(30)))
+            start, rebuilt = 0, ()
+            for end in run_ends(letters):
+                run = letters[start:end]
+                assert len(set(run)) == 1  # one letter per run
+                assert end == len(letters) or letters[end] != run[0]  # maximal
+                rebuilt += run
+                start = end
+            assert rebuilt == letters
+
+
+class TestAgainstLetterByLetter:
+    CASES = [
+        "",
+        "a",
+        "A",
+        "b",
+        "B",
+        "s1^50 s1^-50",
+        "s1^50 s2 s2^-1 s1^-50",
+        "s1^50 s2^3 s2^-3 s1^-49",
+        "s2^7 s2^-9 s1^4",
+        "s1^-30 s2 s1^30",
+        "s2^-40 s1^-1 s2^40 s1^3",
+        "a b a B A B",
+        "s1^3 s2^-2 s1^-3 s2^2 s1 s2 s1",
+    ]
+
+    @pytest.mark.parametrize("text", CASES)
+    def test_listed_words(self, text):
+        w = parse_braid(text)
+        assert project(w) == old_project(w)
+        assert represent(w) == old_represent(w)
+
+    def test_periodic_family_under_random_conjugators(self):
+        rng = random.Random(13)
+        for m in (1, 2, 3, 19, 20000):
+            for _ in range(3):
+                g = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(40))))
+                w = conjugate_by(periodic(m), g)
+                assert project(w) == old_project(w)
+                assert represent(w) == old_represent(w)
+                assert are_conjugate(w, periodic(m))
+
+    def test_beta_grid(self):
+        for k in range(-9, 10):
+            for n in range(-12, 13):
+                w = beta(k, n)
+                assert project(w) == old_project(w)
+                assert represent(w) == old_represent(w)
+
+    def test_runs_cancelling_runs_of_random_words(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            runs = [(rng.choice((1, -1, 2, -2)), rng.choice((1, 2, 3, 60))) for _ in range(rng.randrange(8))]
+            u = BraidWord(tuple(letter for letter, count in runs for _ in range(count)))
+            middle = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(4))))
+            w = concat(concat(u, middle), inverse(u))
+            assert project(w) == old_project(w)
+            assert represent(w) == old_represent(w)
+
+
+def _line_events(function, w):
+    """Line events of every Python frame run by ``function(w)``."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        function(w)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+@pytest.mark.parametrize("function", [project, represent], ids=["project", "represent"])
+def test_steps_per_run_do_not_grow_with_the_run(function):
+    assert _line_events(function, periodic(10)) == _line_events(function, periodic(100_000))
