@@ -9,8 +9,10 @@ values as ``null``, matching the vocabulary of the JSON output.
 Braid words are quoted token strings (``"b a a B"`` or ``"s2^-1 s1^2"``),
 which keeps negative exponents out of the option grammar.  The one
 argument that must start with ``-`` on its own, the Conway tuple, is
-handled by inserting a ``--`` separator before parsing.  List-valued
-options with negative entries need the equals form, e.g. ``--k=-3,-1``.
+handled by inserting a ``--`` separator before parsing unless the user
+typed one, so ``conway -2,2,-3`` and ``conway -- -2,2,-3`` print the same
+bytes.  List-valued options with negative entries need the equals form,
+e.g. ``--k=-3,-1``.
 """
 
 from __future__ import annotations
@@ -336,8 +338,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     # The Conway tuple may itself start with "-"; a "--" separator keeps
-    # argparse from reading it as an option.
-    if args and args[0] == "conway" and "-h" not in args and "--help" not in args:
+    # argparse from reading it as an option.  A second one would be read
+    # as the tuple, so none is added to a typed one.
+    if args[:1] == ["conway"] and not {"-h", "--help", "--"} & set(args):
         args.insert(1, "--")
     ns = _build_parser().parse_args(args)
     try:

@@ -8,15 +8,13 @@ exactly when their cyclically reduced syllable words agree up to rotation.
 Together with the exponent sum, which separates the central powers the
 quotient forgets, this decides conjugacy of braids exactly.
 
-Every step is linear in the word length.  Projection walks the word's
-maximal runs of one letter: copies of one letter's image do not reduce
-against each other, so a run is reduced against the stack only until one
-copy stays on it and the rest is appended at once, and a run that meets
-no cancellation costs one Python step whatever its length.  Cyclic
-reduction moves two indices inward and slices once, the rotation test is
-a substring search of one core in the other core doubled, and the
-canonical rotation printed by ``nf`` comes from Duval's Lyndon
-factorization.
+Every step is linear in the word length, and a syllable word is one
+``bytes`` object from projection to the rotation test.  Projection walks
+the word's maximal runs of one letter, one Python step for a run that
+meets no cancellation whatever its length.  Cyclic reduction moves two
+indices inward and slices once, the rotation test is a substring search
+of one core in the other core doubled, and the canonical rotation printed
+by ``nf`` comes from Duval's Lyndon factorization.
 """
 
 from __future__ import annotations
@@ -34,26 +32,33 @@ __all__ = [
     "project",
 ]
 
-# Syllables.  The numeric values double as Y-exponents (X carries none) and
-# order the alphabet X < Y < Y^2 for canonical rotations.
+# Syllables, one byte each.  The values double as Y-exponents (X carries
+# none) and order the alphabet X < Y < Y^2 for canonical rotations.
 X, Y, Y2 = 0, 1, 2
-_SYLLABLES = frozenset((X, Y, Y2))
-_SYLLABLE_NAMES = {X: "X", Y: "Y", Y2: "Y2"}
+_ALPHABET = bytes((X, Y, Y2))
+_CODES = {s: s for s in _ALPHABET}
+_SYLLABLE_NAMES = ("X", "Y", "Y2")
 
 
 class FreeProductWord(Record):
     """A reduced word in Z/2 * Z/3: no two adjacent syllables lie in the
-    same free factor.  The empty word is the identity."""
+    same free factor.  The empty word is the identity.  ``syllables`` is
+    ``bytes``; another sequence is stored as bytes if each entry equals a
+    syllable, so ``1.0`` is read as Y and ``"a"`` refused."""
 
-    syllables: tuple[int, ...] = ()
+    syllables: bytes = b""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.syllables, tuple):
-            object.__setattr__(self, "syllables", tuple(self.syllables))
         sylls = self.syllables
-        if not _SYLLABLES.issuperset(sylls):
-            bad = next(s for s in sylls if s not in _SYLLABLES)
-            raise ValueError(f"invalid syllable {bad!r}")
+        if sylls.__class__ is not bytes:
+            try:
+                sylls = bytes(map(_CODES.__getitem__, sylls))
+            except KeyError as exc:
+                raise ValueError(f"invalid syllable {exc.args[0]!r}") from None
+            object.__setattr__(self, "syllables", sylls)
+        bad = sylls.translate(None, _ALPHABET)  # what is left is no syllable
+        if bad:
+            raise ValueError(f"invalid syllable {bad[0]!r}")
         # Reduced means alternating factors: one parity class of positions
         # is all X and the other holds no X.
         even, odd = sylls[0::2], sylls[1::2]
@@ -65,9 +70,7 @@ class FreeProductWord(Record):
         return len(self.syllables)
 
     def __str__(self) -> str:
-        if not self.syllables:
-            return "1"
-        return " ".join(_SYLLABLE_NAMES[s] for s in self.syllables)
+        return " ".join(_SYLLABLE_NAMES[s] for s in self.syllables) or "1"
 
 
 # Letter images in the quotient.  The relation check: s1 s2 s1 maps to
@@ -91,12 +94,11 @@ def project(w: BraidWord) -> FreeProductWord:
 
     The word is read run by run (``words.run_ends``).  Copies of one
     image repeat without reducing (XY XY, YX YX, Y2X Y2X and XY2 XY2 are
-    reduced words), so the copies of a run are reduced against the top of
-    the stack only until one copy stays on it; the rest of the run is
-    appended as one extend.  Each copy that cancels costs one step, so the
-    pass stays linear, and a run that meets no cancellation costs one
-    step whatever its length.  Two bottom markers spare every emptiness
-    check and keep a syllable under the top.
+    reduced words), so a run is reduced against the top of the stack only
+    until one copy stays on it and the rest is appended at once; each copy
+    that cancels costs one step.  Two bottom markers spare every emptiness
+    check and keep a syllable under the top.  The stack is a bytearray,
+    frozen once into the word's bytes.
     """
     letters = w.letters
     stack = bytearray((_BOTTOM, _BOTTOM))
@@ -139,7 +141,7 @@ def project(w: BraidWord) -> FreeProductWord:
         if count:
             stack += image * count
     del stack[:2]
-    return FreeProductWord(tuple(stack))
+    return FreeProductWord(bytes(stack))
 
 
 def cyclic_normal_form(fw: FreeProductWord) -> FreeProductWord:
@@ -152,17 +154,14 @@ def cyclic_normal_form(fw: FreeProductWord) -> FreeProductWord:
     alphabet*, J. Algorithms 1983).  Torsion classes (length at most one)
     compare literally; in particular Y and Y^2 stay distinct.
     """
-    return FreeProductWord(tuple(_least_rotation(_cyclic_core(fw.syllables))))
+    return FreeProductWord(_least_rotation(_cyclic_core(fw.syllables)))
 
 
-def _cyclic_core(syllables: tuple[int, ...]) -> bytes:
-    """Cyclic reduction of a reduced syllable word.
-
-    Ends from the same factor are stripped from both sides at once: X
-    against X cancels (X + X = 0), Y-type ends merge mod 3, and a nonzero
-    merge, which sits between two X syllables, ends the reduction.
-    """
-    data = bytes(syllables)
+def _cyclic_core(data: bytes) -> bytes:
+    """Cyclic reduction of a reduced syllable word: ends from the same
+    factor are stripped from both sides at once.  X against X cancels
+    (X + X = 0), Y-type ends merge mod 3, and a nonzero merge, which sits
+    between two X syllables, ends the reduction."""
     first, last = 0, len(data) - 1
     while first < last and (data[first] == X) == (data[last] == X):
         merged = (data[first] + data[last]) % 3

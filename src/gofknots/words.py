@@ -35,8 +35,8 @@ __all__ = [
 ]
 
 _VALID_LETTERS = frozenset((1, -1, 2, -2))
-# The most letters beta or a power token may build; larger words are
-# refused before any allocation instead of exhausting memory.
+# The most letters beta or a parsed word may have; beta and power tokens
+# past it are refused before any allocation instead of exhausting memory.
 _MAX_LETTERS = 10**7
 
 
@@ -96,6 +96,9 @@ def parse_braid(text: str) -> BraidWord:
         if len(letters) + abs(exponent) > _MAX_LETTERS:
             raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
         letters.extend(_power(int(index), exponent))
+    # single letters are checked once here: each costs a token of input
+    if len(letters) > _MAX_LETTERS:
+        raise BraidParseError(f"the word has {len(letters)} letters, more than {_MAX_LETTERS}")
     return BraidWord(tuple(letters))
 
 

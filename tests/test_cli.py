@@ -333,6 +333,12 @@ class TestConwayCommand:
             "lens_q: 2\n"
         )
 
+    def test_typed_separator_prints_the_same_bytes(self):
+        expected = run_cli("conway", "-2,2,-3")
+        assert expected[0] == 0
+        assert run_cli("conway", "--", "-2,2,-3") == expected
+        assert run_cli("conway", "--", "5") == run_cli("conway", "5")
+
     def test_single_entry(self):
         code, out, _ = run_cli("conway", "5")
         assert code == 0

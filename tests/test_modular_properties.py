@@ -1,6 +1,7 @@
 """The central quotient, swept over random words: the cyclic normal form is
 a conjugacy invariant, the conjugacy decision accepts every conjugate and
-is symmetric, and projected words rebuild unchanged."""
+is symmetric, and projected words are bytes and rebuild unchanged from
+any sequence type."""
 
 import pytest
 
@@ -35,5 +36,7 @@ def test_conjugacy_is_symmetric(u, v):
 @hypothesis.given(words)
 def test_projected_word_round_trips(w):
     fw = project(w)
-    assert FreeProductWord(fw.syllables) == fw
-    assert FreeProductWord(list(fw.syllables)) == fw
+    assert type(fw.syllables) is bytes
+    assert type(cyclic_normal_form(fw).syllables) is bytes
+    for form in (bytes, list, tuple, bytearray):
+        assert FreeProductWord(form(fw.syllables)) == fw

@@ -27,13 +27,14 @@ class TestRepr:
             (SL2Matrix(1, 0, 0, 1), "SL2Matrix(a=1, b=0, c=0, d=1)"),
             (BraidWord((1, -2)), "BraidWord(letters=(1, -2))"),
             (BraidWord(), "BraidWord(letters=())"),
-            (FreeProductWord((0, 1)), "FreeProductWord(syllables=(0, 1))"),
+            (FreeProductWord((0, 1)), "FreeProductWord(syllables=b'\\x00\\x01')"),
             (TwoBridgeForm(5, 2), "TwoBridgeForm(alpha=5, beta_canonical=2)"),
             (LensSpace(7, 2), "LensSpace(p=7, q_canonical=2)"),
             (HopfPlumbing(3, -1), "HopfPlumbing(r=3, band_sign=-1)"),
             (ExceptionL72(1), "ExceptionL72(sign=1)"),
             (NotLensSpace(), "NotLensSpace()"),
             (CheckResult("x", True, False), "CheckResult(name='x', expected=True, computed=False)"),
+            (FreeProductWord(), "FreeProductWord(syllables=b'')"),
         ],
     )
     def test_dataclass_format(self, record, text):
@@ -78,6 +79,7 @@ class TestEqualityAndHash:
     def test_hash_is_the_hash_of_the_field_tuple(self):
         assert hash(SL2Matrix(1, 0, 0, 1)) == hash((1, 0, 0, 1))
         assert hash(BraidWord((1, 2))) == hash(((1, 2),))
+        assert hash(FreeProductWord((0, 1))) == hash((b"\x00\x01",))
         assert hash(NotLensSpace()) == hash(())
         assert len({TwoBridgeForm(5, 2), TwoBridgeForm(5, 2), LensSpace(5, 2)}) == 2
 
@@ -123,7 +125,7 @@ class TestConstruction:
     def test_defaults(self):
         assert BraidWord() == BraidWord(())
         assert BraidWord().letters == ()
-        assert FreeProductWord().syllables == ()
+        assert FreeProductWord().syllables == b""
         assert BraidWord(letters=[1, 2]).letters == (1, 2)
 
     @pytest.mark.parametrize(

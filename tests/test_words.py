@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from gofknots import words
 from gofknots.burau import represent
 from gofknots.words import (
     BraidParseError,
@@ -95,6 +96,16 @@ class TestParseFormat:
             parse_braid(text)
         token = text.split()[-1]
         assert str(excinfo.value) == f"token {token!r} makes the word longer than 10000000 letters"
+
+    def test_single_letters_past_the_letter_budget_are_refused(self, monkeypatch):
+        # every parsed word is within the budget, however it is spelled
+        monkeypatch.setattr(words, "_MAX_LETTERS", 20)
+        assert len(parse_braid("A" + " B" * 19)) == 20
+        for text in ["A" + " B" * 30, "A s2^-19 b", "a " * 21]:
+            with pytest.raises(BraidParseError, match="more than 20"):
+                parse_braid(text)
+        with pytest.raises(BraidParseError, match="^the word has 31 letters, more than 20$"):
+            parse_braid("A" + " B" * 30)
 
     def test_leading_zeros_do_not_count_against_the_budget(self):
         assert parse_braid("s1^0000000000001") == parse_braid("a")
