@@ -46,11 +46,9 @@ __all__ = [
     "NotLensSpace",
     "candidate_pq",
     "classify_gof",
-    "exception_isolation_checks",
     "is_two_bridge_closure",
-    "known_conjugate_pairs",
+    "paper_checks",
     "scan_table",
-    "verify_case_analysis",
 ]
 
 Witness = tuple[int, int]
@@ -292,60 +290,41 @@ _CASE_ROWS = (
 )
 
 
-def verify_case_analysis() -> list[CheckResult]:
-    """Run the eight case-row conjugacy checks, one CheckResult per row."""
-    results = []
+def paper_checks() -> tuple[list[CheckResult], list[CheckResult]]:
+    """The checks of ``verify-paper``: the eight case rows, then the
+    additional checks.
+
+    The additional checks are two beta pairs conjugate despite distinct
+    (k, n), the exceptional rows +-(-3,5) against the plumbing rows
+    beta(+-1, n'), and their lens spaces against the plumbing ones.
+    Conjugate braids have equal exponent sums and beta(eps, n') has
+    3 eps + n', so n' = e - 3 eps is the one row that could match.
+    L(n+-2, 1) has order |n+-2|, which is 7 only at n in {5, -9} for the +
+    sign and n in {9, -5} for the - sign, so checking those four spaces
+    settles every n; the name keeps the range [-40,40] that the benchmark
+    and the README print.
+    """
+    case_rows = []
     for case, k, n, (p, q), expected in _CASE_ROWS:
         word = beta(k, n)
         computed = any(
             are_conjugate(word, standard_form(x, y)) for x, y in ((p, q), (q, p))
         )
         name = f"case {case}: beta({k},{n}) vs standard form on {{{p},{q}}}"
-        results.append(CheckResult(name, expected, computed))
-    return results
-
-
-def known_conjugate_pairs() -> list[CheckResult]:
-    """The two beta pairs that are conjugate despite distinct (k, n)."""
-    pairs = (((-3, 3), (-1, -3)), ((3, -3), (1, 3)))
-    results = []
-    for (k1, n1), (k2, n2) in pairs:
-        computed = are_conjugate(beta(k1, n1), beta(k2, n2))
-        results.append(
-            CheckResult(f"beta({k1},{n1}) ~ beta({k2},{n2})", True, computed)
-        )
-    return results
-
-
-def exception_isolation_checks() -> list[CheckResult]:
-    """The exceptional rows +-(-3,5) are not plumbing rows in disguise.
-
-    Conjugacy to beta(+-1, n) is ruled out at the unique exponent-sum
-    compatible n, and the lens space L(7,2) (or its mirror) is separated
-    from every L(n+-2, 1).  L(n+-2, 1) has order |n+-2|, which is 7 only
-    at n in {5, -9} for the + sign and n in {9, -5} for the - sign, so
-    checking those four spaces settles every n, not just n in [-40,40].
-    """
-    results = []
+        case_rows.append(CheckResult(name, expected, computed))
+    pairs = [((-3, 3), (-1, -3), True), ((3, -3), (1, 3), True)]
     for k, n in ((-3, 5), (3, -5)):
-        word = beta(k, n)
-        e = exponent_sum(word)
-        for eps in (1, -1):
-            other_n = e - 3 * eps
-            computed = are_conjugate(word, beta(eps, other_n))
-            results.append(
-                CheckResult(f"beta({k},{n}) ~ beta({eps},{other_n})", False, computed)
-            )
+        e = exponent_sum(beta(k, n))
+        pairs += [((k, n), (eps, e - 3 * eps), False) for eps in (1, -1)]
+    additional = []
+    for (k1, n1), (k2, n2), expected in pairs:
+        computed = are_conjugate(beta(k1, n1), beta(k2, n2))
+        additional.append(CheckResult(f"beta({k1},{n1}) ~ beta({k2},{n2})", expected, computed))
     for exceptional in (lens_space(7, 2), lens_space(7, -2)):
         separated = not any(
             lens_equiv(exceptional, lens_space(n + 2 * eps, 1), oriented=False)
             for n, eps in ((5, 1), (-9, 1), (9, -1), (-5, -1))
         )
-        results.append(
-            CheckResult(
-                f"{exceptional} differs from every L(n+-2,1), n in [-40,40]",
-                True,
-                separated,
-            )
-        )
-    return results
+        name = f"{exceptional} differs from every L(n+-2,1), n in [-40,40]"
+        additional.append(CheckResult(name, True, separated))
+    return case_rows, additional

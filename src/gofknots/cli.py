@@ -9,10 +9,10 @@ values as ``null``, matching the vocabulary of the JSON output.
 Braid words are quoted token strings (``"b a a B"`` or ``"s2^-1 s1^2"``),
 which keeps negative exponents out of the option grammar.  The one
 argument that must start with ``-`` on its own, the Conway tuple, is
-handled by inserting a ``--`` separator before parsing unless the user
-typed one, so ``conway -2,2,-3`` and ``conway -- -2,2,-3`` print the same
-bytes.  List-valued options with negative entries need the equals form,
-e.g. ``--k=-3,-1``.
+handled by dropping any typed ``--`` and inserting one before the tuple,
+so ``conway -2,2,-3``, ``conway -- -2,2,-3`` and ``conway -2,2,-3 --``
+print the same bytes.  List-valued options with negative entries need the
+equals form, e.g. ``--k=-3,-1``.
 """
 
 from __future__ import annotations
@@ -28,11 +28,9 @@ from .classify import (
     ClassificationResult,
     Witness,
     classify_gof,
-    exception_isolation_checks,
     is_two_bridge_closure,
-    known_conjugate_pairs,
+    paper_checks,
     table_cells,
-    verify_case_analysis,
 )
 from .modular import are_conjugate, cyclic_normal_form, project
 from .twobridge import (
@@ -128,7 +126,7 @@ def _cmd_nf(ns: argparse.Namespace) -> int:
     word = parse_braid(ns.word)
     matrix = represent(word)
     print(f"exponent_sum: {exponent_sum(word)}")
-    print(f"matrix: [[{matrix.a}, {matrix.b}], [{matrix.c}, {matrix.d}]]")
+    print(f"matrix: {matrix.rows()}")
     print(f"psl_cyclic_normal_form: {cyclic_normal_form(project(word))}")
     return 0
 
@@ -207,17 +205,13 @@ def _check_line(check: CheckResult) -> str:
 
 
 def _cmd_verify_paper(ns: argparse.Namespace) -> int:
-    case_rows = verify_case_analysis()
-    extra = known_conjugate_pairs() + exception_isolation_checks()
-    for check in case_rows:
-        print(_check_line(check))
-    case_passed = sum(1 for c in case_rows if c.ok)
-    print(f"case rows: {case_passed}/{len(case_rows)} passed")
-    for check in extra:
-        print(_check_line(check))
-    extra_passed = sum(1 for c in extra if c.ok)
-    print(f"additional checks: {extra_passed}/{len(extra)} passed")
-    all_ok = case_passed == len(case_rows) and extra_passed == len(extra)
+    all_ok = True
+    for title, checks in zip(("case rows", "additional checks"), paper_checks()):
+        for check in checks:
+            print(_check_line(check))
+        passed = sum(check.ok for check in checks)
+        print(f"{title}: {passed}/{len(checks)} passed")
+        all_ok = all_ok and passed == len(checks)
     print(f"verify-paper: {'PASS' if all_ok else 'FAIL'}")
     return 0 if all_ok else 1
 
@@ -338,10 +332,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     # The Conway tuple may itself start with "-"; a "--" separator keeps
-    # argparse from reading it as an option.  A second one would be read
-    # as the tuple, so none is added to a typed one.
-    if args[:1] == ["conway"] and not {"-h", "--help", "--"} & set(args):
-        args.insert(1, "--")
+    # argparse from reading it as an option.  argparse refuses a second
+    # one, so typed separators are dropped and one is put after "conway".
+    if args[:1] == ["conway"] and not {"-h", "--help"} & set(args):
+        args[1:] = ["--", *(arg for arg in args[1:] if arg != "--")]
     ns = _build_parser().parse_args(args)
     try:
         return ns.func(ns)

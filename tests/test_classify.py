@@ -13,12 +13,10 @@ from gofknots.classify import (
     _label_for,
     candidate_pq,
     classify_gof,
-    exception_isolation_checks,
     is_two_bridge_closure,
-    known_conjugate_pairs,
+    paper_checks,
     scan_table,
     table_cells,
-    verify_case_analysis,
 )
 from gofknots.cli import result_to_record
 from gofknots.modular import _cyclic_core, are_conjugate, project
@@ -434,7 +432,7 @@ class TestScanTable:
 
 class TestCheckBattery:
     def test_case_analysis_booleans(self):
-        results = verify_case_analysis()
+        results, _ = paper_checks()
         assert len(results) == 8
         assert [r.computed for r in results] == [
             False, False, False, False, False, False, True, True,
@@ -442,17 +440,17 @@ class TestCheckBattery:
         assert all(r.ok for r in results)
 
     def test_case_analysis_names_are_informative(self):
-        names = [r.name for r in verify_case_analysis()]
+        names = [r.name for r in paper_checks()[0]]
         assert names[0] == "case A: beta(5,-13) vs standard form on {-2,3}"
         assert names[7] == "case B: beta(-3,3) vs standard form on {-1,-6}"
 
     def test_known_conjugate_pairs(self):
-        results = known_conjugate_pairs()
-        assert len(results) == 2
+        results = paper_checks()[1][:2]
+        assert [r.name for r in results] == ["beta(-3,3) ~ beta(-1,-3)", "beta(3,-3) ~ beta(1,3)"]
         assert all(r.expected and r.computed and r.ok for r in results)
 
     def test_exception_isolation(self):
-        results = exception_isolation_checks()
+        results = paper_checks()[1][2:]
         assert len(results) == 6
         assert all(r.ok for r in results)
         conjugacy_checks = results[:4]

@@ -8,7 +8,8 @@ import tracemalloc
 
 import pytest
 
-from gofknots.classify import scan_table
+from gofknots import cli
+from gofknots.classify import CheckResult, paper_checks, scan_table
 from gofknots.cli import app, main, result_to_record
 from gofknots.words import beta, format_braid
 
@@ -337,7 +338,22 @@ class TestConwayCommand:
         expected = run_cli("conway", "-2,2,-3")
         assert expected[0] == 0
         assert run_cli("conway", "--", "-2,2,-3") == expected
+        assert run_cli("conway", "-2,2,-3", "--") == expected
         assert run_cli("conway", "--", "5") == run_cli("conway", "5")
+        assert run_cli("conway", "2,2,3", "--") == run_cli("conway", "2,2,3")
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_is_still_help(self, flag):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as excinfo:
+            main(["conway", flag])
+        assert excinfo.value.code == 0
+        assert out.getvalue().startswith("usage: gofknots conway [-h] LIST")
+
+    def test_two_tuples_are_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli("conway", "1", "2")
+        assert excinfo.value.code == 2
 
     def test_single_entry(self):
         code, out, _ = run_cli("conway", "5")
@@ -381,8 +397,50 @@ class TestVerifyPaperCommand:
         )
         assert sum(1 for line in lines if line.startswith("[ok]")) == 16
 
+    def test_golden(self):
+        assert run_cli("verify-paper") == (0, VERIFY_PAPER_GOLDEN, "")
+
+    def test_a_failing_check_fails_the_run(self, monkeypatch):
+        case_rows, additional = paper_checks()
+        case_rows[2] = CheckResult(case_rows[2].name, True, False)
+        monkeypatch.setattr(cli, "paper_checks", lambda: (case_rows, additional))
+        code, out, err = run_cli("verify-paper")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[2] == (
+            "[FAIL] case A: beta(5,-19) vs standard form on {1,-6}: "
+            "expected true, computed false"
+        )
+        assert lines[8] == "case rows: 7/8 passed"
+        assert lines[17] == "additional checks: 8/8 passed"
+        assert lines[-1] == "verify-paper: FAIL"
+        assert sum(1 for line in lines if line.startswith("[ok]")) == 15
+
     def test_output_is_deterministic(self):
         assert run_cli("verify-paper") == run_cli("verify-paper")
+
+
+VERIFY_PAPER_GOLDEN = """\
+[ok] case A: beta(5,-13) vs standard form on {-2,3}: expected false, computed false
+[ok] case A: beta(5,-15) vs standard form on {2,-3}: expected false, computed false
+[ok] case A: beta(5,-19) vs standard form on {1,-6}: expected false, computed false
+[ok] case A: beta(5,-9) vs standard form on {-1,6}: expected false, computed false
+[ok] case B: beta(-3,15) vs standard form on {2,3}: expected false, computed false
+[ok] case B: beta(-3,17) vs standard form on {1,6}: expected false, computed false
+[ok] case B: beta(-3,5) vs standard form on {-2,-3}: expected true, computed true
+[ok] case B: beta(-3,3) vs standard form on {-1,-6}: expected true, computed true
+case rows: 8/8 passed
+[ok] beta(-3,3) ~ beta(-1,-3): expected true, computed true
+[ok] beta(3,-3) ~ beta(1,3): expected true, computed true
+[ok] beta(-3,5) ~ beta(1,-7): expected false, computed false
+[ok] beta(-3,5) ~ beta(-1,-1): expected false, computed false
+[ok] beta(3,-5) ~ beta(1,1): expected false, computed false
+[ok] beta(3,-5) ~ beta(-1,7): expected false, computed false
+[ok] L(7,2) differs from every L(n+-2,1), n in [-40,40]: expected true, computed true
+[ok] L(7,3) differs from every L(n+-2,1), n in [-40,40]: expected true, computed true
+additional checks: 8/8 passed
+verify-paper: PASS
+"""
 
 
 class TestErrorHandling:
