@@ -72,20 +72,14 @@ def represent(w: BraidWord) -> SL2Matrix:
     start = 0
     for end in run_ends(letters):
         letter = letters[start]
-        e = end - start
+        e = end - start if letter > 0 else start - end
         start = end
-        if letter == 1:
+        if letter == 1 or letter == -1:
             b += e * a
             d += e * c
-        elif letter == 2:
+        else:
             a -= e * b
             c -= e * d
-        elif letter == -1:
-            b -= e * a
-            d -= e * c
-        else:
-            a += e * b
-            c += e * d
     return SL2Matrix(a, b, c, d)
 
 

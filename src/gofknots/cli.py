@@ -24,7 +24,6 @@ from collections.abc import Sequence
 from . import __version__
 from .burau import equal_in_b3, homology_order, represent
 from .classify import (
-    CheckResult,
     ClassificationResult,
     Witness,
     classify_gof,
@@ -64,7 +63,7 @@ def _print_record(record: dict) -> None:
 
 def _form_fields(form: TwoBridgeForm | None, space: LensSpace | None) -> dict:
     """The two-bridge form and lens space fields of a record, null without a form."""
-    if form is None or space is None:
+    if form is None:
         return dict.fromkeys(("alpha", "beta", "lens_p", "lens_q"))
     return dict(alpha=form.alpha, beta=form.beta_canonical, lens_p=space.p, lens_q=space.q_canonical)
 
@@ -112,13 +111,8 @@ def _int_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _cmd_conjugate(ns: argparse.Namespace) -> int:
-    print(_fmt(are_conjugate(parse_braid(ns.word1), parse_braid(ns.word2))))
-    return 0
-
-
-def _cmd_equal(ns: argparse.Namespace) -> int:
-    print(_fmt(equal_in_b3(parse_braid(ns.word1), parse_braid(ns.word2))))
+def _cmd_two_words(ns: argparse.Namespace) -> int:
+    print(_fmt(ns.decide(parse_braid(ns.word1), parse_braid(ns.word2))))
     return 0
 
 
@@ -196,19 +190,13 @@ def _cmd_lens_eq(ns: argparse.Namespace) -> int:
     return 0
 
 
-def _check_line(check: CheckResult) -> str:
-    status = "ok" if check.ok else "FAIL"
-    return (
-        f"[{status}] {check.name}: "
-        f"expected {_fmt(check.expected)}, computed {_fmt(check.computed)}"
-    )
-
-
 def _cmd_verify_paper(ns: argparse.Namespace) -> int:
     all_ok = True
     for title, checks in zip(("case rows", "additional checks"), paper_checks()):
         for check in checks:
-            print(_check_line(check))
+            status = "ok" if check.ok else "FAIL"
+            expected, computed = _fmt(check.expected), _fmt(check.computed)
+            print(f"[{status}] {check.name}: expected {expected}, computed {computed}")
         passed = sum(check.ok for check in checks)
         print(f"{title}: {passed}/{len(checks)} passed")
         all_ok = all_ok and passed == len(checks)
@@ -232,19 +220,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    p = sub.add_parser(
-        "conjugate", help="decide whether two braid words are conjugate"
-    )
-    p.add_argument("word1", help=_WORD_HELP)
-    p.add_argument("word2", help=_WORD_HELP)
-    p.set_defaults(func=_cmd_conjugate)
-
-    p = sub.add_parser(
-        "equal", help="decide whether two braid words are equal in the group"
-    )
-    p.add_argument("word1", help=_WORD_HELP)
-    p.add_argument("word2", help=_WORD_HELP)
-    p.set_defaults(func=_cmd_equal)
+    # built per call, so a rebinding of cli.are_conjugate (bench/spans.py) reaches it
+    for name, help_text, decide in (
+        ("conjugate", "decide whether two braid words are conjugate", are_conjugate),
+        ("equal", "decide whether two braid words are equal in the group", equal_in_b3),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("word1", help=_WORD_HELP)
+        p.add_argument("word2", help=_WORD_HELP)
+        p.set_defaults(func=_cmd_two_words, decide=decide)
 
     p = sub.add_parser(
         "nf",

@@ -68,7 +68,7 @@ class BraidWord(Record):
 
 
 _SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
-_TOKENS_BACK = {1: "a", -1: "A", 2: "b", -2: "B"}
+_TOKENS_BACK = {letter: token for token, letter in _SINGLE_TOKENS.items()}
 # ASCII digits only: \d would also take digits of other scripts.
 _POWER_TOKEN = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 

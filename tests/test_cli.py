@@ -445,10 +445,15 @@ verify-paper: PASS
 
 class TestErrorHandling:
     def test_parse_error_exits_2(self):
-        code, out, err = run_cli("nf", "xyz")
-        assert code == 2
-        assert out == ""
-        assert err == "error: malformed token 'xyz'\n"
+        for args in [
+            ("nf", "xyz"),
+            ("conjugate", "xyz", "a"),
+            ("conjugate", "a", "xyz"),
+            ("equal", "xyz", "a"),
+            ("equal", "a", "xyz"),
+        ]:
+            code, out, err = run_cli(*args)
+            assert (code, out, err) == (2, "", "error: malformed token 'xyz'\n"), args
 
     def test_generator_index_must_be_literal(self):
         code, out, err = run_cli("closure", "s01^2")
@@ -490,6 +495,64 @@ class TestErrorHandling:
         with pytest.raises(SystemExit) as excinfo:
             run_cli()
         assert excinfo.value.code == 2
+
+
+def help_text(monkeypatch, *args):
+    """The help screen ``main(args)`` prints, unwrapped by a wide terminal."""
+    monkeypatch.setenv("COLUMNS", "300")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as excinfo:
+        main(list(args))
+    assert excinfo.value.code == 0
+    return out.getvalue()
+
+
+def help_entries(text, heading):
+    """The (name, help) pairs listed under the line ``heading`` up to the
+    next blank line.  A line indented deeper than the first entry continues
+    the help of the entry above it, so a wrapped help string reads whole."""
+    lines = text.splitlines()
+    block = lines[[line.strip() for line in lines].index(heading) + 1 :]
+    block = block[: block.index("")]
+    indent = len(block[0]) - len(block[0].lstrip())
+    entries = []
+    for line in block:
+        if len(line) - len(line.lstrip()) == indent:
+            name, _, help_part = line.strip().partition(" ")
+            entries.append((name, [help_part]))
+        else:
+            entries[-1][1].append(line)
+    return [(name, " ".join(" ".join(parts).split())) for name, parts in entries]
+
+
+class TestHelp:
+    WORD_HELP = 'braid word in quotes, e.g. "b a a B" or "s2^-1 s1^2"'
+
+    def test_lists_every_subcommand_in_order(self, monkeypatch):
+        text = help_text(monkeypatch, "--help")
+        assert text.startswith("usage: gofknots [-h] [--version] COMMAND ...\n")
+        assert help_entries(text, "COMMAND") == [
+            ("conjugate", "decide whether two braid words are conjugate"),
+            ("equal", "decide whether two braid words are equal in the group"),
+            ("nf", "print the exponent sum, integral matrix, and cyclic normal form"),
+            ("beta", "print the word beta(k, n)"),
+            ("det", "print the homology order of the closure's double branched cover"),
+            ("closure", "decide whether the closure is a two-bridge link"),
+            ("classify", "classify the genus one fibered knot for beta(k, n)"),
+            ("table", "classify every cell of a (k, n) grid"),
+            ("conway", "evaluate a Conway tuple to its fraction, two-bridge form, and lens space"),
+            ("lens-eq", "decide whether L(p1,q1) and L(p2,q2) agree"),
+            ("verify-paper", "run the built-in case-analysis and exceptional-knot checks"),
+        ]
+
+    @pytest.mark.parametrize("command", ["conjugate", "equal"])
+    def test_two_word_commands(self, monkeypatch, command):
+        text = help_text(monkeypatch, command, "-h")
+        assert text.splitlines()[0] == f"usage: gofknots {command} [-h] word1 word2"
+        assert help_entries(text, "positional arguments:") == [
+            ("word1", self.WORD_HELP),
+            ("word2", self.WORD_HELP),
+        ]
 
 
 class TestEntryPoints:
