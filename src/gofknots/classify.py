@@ -120,8 +120,13 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
     return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 
-def _witness(w: BraidWord) -> Witness | None:
-    """The first candidate (p, q) whose standard form is conjugate to ``w``.
+def _witness(w: BraidWord) -> tuple[Witness | None, TwoBridgeForm | None]:
+    """The first candidate (p, q) whose standard form is conjugate to
+    ``w``, with its closure b(2pq+p+q, 2q+1); (None, None) without one.
+
+    The form is None when 2pq+p+q = 0: homology order zero, the
+    two-component unlink, which has no normal form.  Only the witnesses
+    (0, 0) and (-1, -1) have it, because 2(2pq+p+q) + 1 = (2p+1)(2q+1).
 
     The mirror is never tested: by the identity s1^2
     mirror(standard_form(p, q)) s1^-2 = standard_form(-p-1, -q-1), a word
@@ -148,25 +153,15 @@ def _witness(w: BraidWord) -> Witness | None:
     bound = len(w) + 5
     for p, q in candidate_pq(w):
         if abs(p) + abs(q) <= bound and are_conjugate(w, standard_form(p, q)):
-            return p, q
-    return None
-
-
-def _form_of(witness: Witness) -> TwoBridgeForm | None:
-    """The closure b(2pq+p+q, 2q+1) of standard_form(p, q), or None when
-    2pq+p+q = 0: homology order zero, the two-component unlink, which has
-    no normal form.  Only the witnesses (0, 0) and (-1, -1) have it,
-    because 2(2pq+p+q) + 1 = (2p+1)(2q+1)."""
-    p, q = witness
-    alpha = 2 * p * q + p + q
-    return normalize_two_bridge(alpha, 2 * q + 1) if alpha else None
+            alpha = 2 * p * q + p + q
+            return (p, q), normalize_two_bridge(alpha, 2 * q + 1) if alpha else None
+    return None, None
 
 
 def is_two_bridge_closure(w: BraidWord) -> tuple[TwoBridgeForm, Witness] | None:
     """Decide whether the closure of ``w`` is a two-bridge link: its form
     and witness (p, q), or None for no witness or an unlink witness."""
-    witness = _witness(w)
-    form = None if witness is None else _form_of(witness)
+    witness, form = _witness(w)
     return None if form is None else (form, witness)
 
 
@@ -177,14 +172,11 @@ def classify_gof(k: int, n: int) -> ClassificationResult:
     have a witness but no form, and their record shows neither."""
     _require_odd(k)
     word = beta(k, n)
-    witness = _witness(word)
-    form = None if witness is None else _form_of(witness)
+    witness, form = _witness(word)
     space = None if form is None else lens_space_of(form)
     label = _NOT_LENS_SPACE if witness is None else _label_for(k, witness, space)
-    if form is None:
-        witness = None
     return ClassificationResult(
-        k, n, word, form is not None, form, space, witness, label, _describe(label)
+        k, n, word, form is not None, form, space, form and witness, label, _describe(label)
     )
 
 

@@ -18,6 +18,7 @@ equals form, e.g. ``--k=-3,-1``.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -329,7 +330,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout, as ``| head`` does
+        # quiet the interpreter's last flush; exit as SIGPIPE would, 128 + 13
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

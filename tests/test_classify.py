@@ -394,6 +394,24 @@ class TestClassifyGof:
         assert "unlink" in result.description
 
 
+class TestTheDecidersAgree:
+    """A record's form and witness are the closure verdict of its word:
+    classify_gof and is_two_bridge_closure read one witness search."""
+
+    def test_on_the_acceptance_grid(self):
+        results = scan_table(range(-9, 10, 2), range(-30, 31))
+        assert len(results) == 610
+        for r in results:
+            expected = (r.two_bridge, r.witness) if r.is_two_bridge else None
+            assert is_two_bridge_closure(r.word) == expected, (r.k, r.n)
+
+    def test_unlink_cells_have_a_label_but_no_closure(self):
+        for k, n in ((1, -2), (-1, 2)):
+            result = classify_gof(k, n)
+            assert result.label == HopfPlumbing(r=0, band_sign=k)
+            assert is_two_bridge_closure(result.word) is None
+
+
 class TestScanTable:
     def test_small_grid(self):
         results = scan_table([1], range(0, 4))

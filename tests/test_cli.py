@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +314,11 @@ class TestTableCommand:
         assert code == 0
         assert out == "k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel\n"
 
+    def test_empty_range_with_an_even_k_gives_header_only(self):
+        # a grid is refused at its first bad cell, and one with no cells has none
+        header = "k\tn\ttwo_bridge\talpha\tbeta\tlens\tlabel\n"
+        assert run_cli("table", "--k=2", "--n=5..3") == (0, header, "")
+
     def test_malformed_list_is_a_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             run_cli("table", "--k=bogus", "--n=0..3")
@@ -575,3 +583,16 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--version")
         assert excinfo.value.code == 0
+
+    def test_a_closed_stdout_exits_141_quietly(self):
+        # the reader stops after 10 of some 2 MB, as ``| head -c 10`` does
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-m", "gofknots.cli", "beta", "1", "1000000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.read(10) == b"b a b a a "
+            proc.stdout.close()
+            assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
