@@ -9,18 +9,26 @@ Together with the exponent sum, which separates the central powers the
 quotient forgets, this decides conjugacy of braids exactly.
 
 Every step is linear in the word length, and a syllable word is one
-``bytes`` object from projection to the rotation test.  Projection walks
-the word's maximal runs of one letter, one Python step for a run that
-meets no cancellation whatever its length.  Cyclic reduction moves two
-indices inward and slices once, the rotation test is a substring search
-of one core in the other core doubled, and the canonical rotation printed
-by ``nf`` comes from Duval's Lyndon factorization.
+``bytes`` object from projection to the rotation test.  Projection reads
+the word's letter bytes in blocks of four, one Python step per block
+through a table of block images, and a run of eight or more letters in one
+step whatever its length.  Each piece is reduced against the stack only
+at the seam, and every reducing step removes a syllable that was stacked
+once, so the whole projection stays linear, ``w w^-1`` included.  Cyclic
+reduction moves two indices inward and slices once, the rotation test is
+a substring search of one core in the other core doubled, and the
+canonical rotation printed by ``nf`` comes from Duval's Lyndon
+factorization.
 """
 
 from __future__ import annotations
 
+import re
+import sys
+from collections.abc import Iterator
+
 from ._record import Record
-from .words import BraidWord, exponent_sum, run_ends
+from .words import BraidWord, exponent_sum
 
 __all__ = [
     "FreeProductWord",
@@ -73,75 +81,119 @@ class FreeProductWord(Record):
         return " ".join(_SYLLABLE_NAMES[s] for s in self.syllables) or "1"
 
 
-# Letter images in the quotient.  The relation check: s1 s2 s1 maps to
-# (XY)(YX)(XY) = X, the same as s2 s1 s2, and each generator cancels its
-# inverse.  s1 and s2^-1 map to X Y^e, s2 and s1^-1 to Y^e X; per letter
-# the table holds whether the image starts with X, its Y-type syllable and
-# the image as bytes.
+# Letter images in the quotient, keyed by letter byte.  The relation
+# check: s1 s2 s1 maps to (XY)(YX)(XY) = X, the same as s2 s1 s2, and each
+# generator cancels its inverse.
 _LETTER_IMAGES = {
-    1: (True, Y, bytes((X, Y))),
-    -1: (False, Y2, bytes((Y2, X))),
-    2: (False, Y, bytes((Y, X))),
-    -2: (True, Y2, bytes((X, Y2))),
+    1: bytes((X, Y)),
+    0xFF: bytes((Y2, X)),  # s1^-1
+    2: bytes((Y, X)),
+    0xFE: bytes((X, Y2)),  # s2^-1
 }
-# The bottom of the projection stack: no syllable reduces against it, and
-# like X it is 0 mod 3, so ``top % 3`` is nonzero exactly on Y and Y^2.
+# The bottom of the projection stack: nothing reduces against it.
 _BOTTOM = 3
+# _SEAM[top][syllable] is what a syllable does on top of the stack: 0
+# cancels the top, Y or Y2 replaces it with the product of the two, and
+# _KEEP stacks it, since the two lie in different factors.
+_KEEP = 3
+_SEAM = (
+    bytes((0, _KEEP, _KEEP)),  # on X
+    bytes((_KEEP, Y2, 0)),  # on Y
+    bytes((_KEEP, 0, Y)),  # on Y2
+    bytes((_KEEP, _KEEP, _KEEP)),  # on the bottom
+)
+# Runs of at least this many letters are pushed in one step.
+_LONG_RUN = 8
+_RUN_SEEDS = {code: bytes((code,)) * _LONG_RUN for code in _LETTER_IMAGES}
+# A whole run: each branch repeats one literal byte, which the regex
+# engine counts in a C loop.
+_RUN = re.compile(rb"\x01+|\x02+|\xfe+|\xff+")
+
+
+def _push(stack: bytearray, piece: bytes) -> None:
+    """Append the reduced word ``piece`` to the reduced word on ``stack``.
+
+    Both are reduced, so they reduce against each other only at the seam.
+    Each step cancels the top, merges two Y-types, or stacks the rest of
+    the piece and stops; a merged Y-type is followed by an X, which stacks.
+    A step that cancels removes a syllable that was stacked once, so a
+    whole projection takes steps linear in its syllables, ``w w^-1``
+    included.
+    """
+    for i, syllable in enumerate(piece):
+        seam = _SEAM[stack[-1]][syllable]
+        if seam == _KEEP:
+            stack += piece[i:]
+            return
+        if seam:
+            stack[-1] = seam
+        else:
+            del stack[-1]
+
+
+class _BlockImages(dict):
+    """Reduced images of blocks of four letters, keyed by the four letter
+    bytes read as one native unsigned int.  An entry is made the first time
+    its block is met: at most 256 of them, and none at import."""
+
+    def __missing__(self, key: int) -> bytes:
+        stack = bytearray((_BOTTOM,))
+        for code in key.to_bytes(4, sys.byteorder):
+            _push(stack, _LETTER_IMAGES[code])
+        image = self[key] = bytes(stack[1:])
+        return image
+
+
+_BLOCK_IMAGES = _BlockImages()
 
 
 def project(w: BraidWord) -> FreeProductWord:
     """Image of a braid word in the central quotient, fully reduced.
 
-    The word is read run by run (``words.run_ends``).  Copies of one
-    image repeat without reducing (XY XY, YX YX, Y2X Y2X and XY2 XY2 are
-    reduced words), so a run is reduced against the top of the stack only
-    until one copy stays on it and the rest is appended at once; each copy
-    that cancels costs one step.  Two bottom markers spare every emptiness
-    check and keep a syllable under the top.  The stack is a bytearray,
-    frozen once into the word's bytes.
+    The word's letter bytes (``BraidWord.letter_bytes``) are read four
+    letters per step: each block of four has its reduced image in a table,
+    which ``_push`` reduces against the stack.  A run of eight or more
+    letters is one step too: the copies of one letter's image repeat
+    without reducing (XY XY, YX YX, Y2X Y2X and XY2 XY2 are reduced words),
+    so the whole run's image is pushed at once.  The stack is a bytearray
+    over one bottom marker, frozen once into the word's bytes.
     """
-    letters = w.letters
-    stack = bytearray((_BOTTOM, _BOTTOM))
-    push, pop = stack.append, stack.pop
+    data = w.letter_bytes
+    stack = bytearray((_BOTTOM,))
     start = 0
-    for end in run_ends(letters):
-        x_first, y, image = _LETTER_IMAGES[letters[start]]
-        count = end - start
-        start = end
-        if x_first:  # X Y^y reduces while X is on top
-            while stack[-1] == X:
-                count -= 1
-                below = stack[-2]
-                if below == _BOTTOM:  # X cancels, Y^y stays
-                    stack[-1] = y
-                    break
-                pop()  # X against X cancels
-                merged = (below + y) % 3
-                if merged:
-                    stack[-1] = merged
-                    break
-                pop()  # the whole copy cancels
-                if not count:
-                    break
-        else:  # Y^y X reduces while Y or Y^2 is on top
-            while stack[-1] % 3:
-                count -= 1
-                merged = (stack[-1] + y) % 3
-                if merged:
-                    stack[-1] = merged
-                    push(X)
-                    break
-                if stack[-2] == _BOTTOM:  # Y-types cancel, X stays
-                    stack[-1] = X
-                    break
-                pop()  # the whole copy cancels
-                pop()
-                if not count:
-                    break
-        if count:
-            stack += image * count
-    del stack[:2]
+    for run_start, run_end in _long_runs(data):
+        _push_letters(stack, data, start, run_start)
+        _push(stack, _LETTER_IMAGES[data[run_start]] * (run_end - run_start))
+        start = run_end
+    _push_letters(stack, data, start, len(data))
+    del stack[0]
     return FreeProductWord(bytes(stack))
+
+
+def _push_letters(stack: bytearray, data: bytes, start: int, end: int) -> None:
+    """Push ``data[start:end]`` in blocks of four, and the last one to
+    three letters one by one."""
+    cut = end - (end - start) % 4
+    for key in memoryview(data)[start:cut].cast("I"):
+        _push(stack, _BLOCK_IMAGES[key])
+    for code in data[cut:end]:
+        _push(stack, _LETTER_IMAGES[code])
+
+
+def _long_runs(data: bytes) -> Iterator[tuple[int, int]]:
+    """Start and end of each maximal run of at least ``_LONG_RUN`` letters,
+    in order.  Each letter's next run is searched for from where its last
+    one ended, so every search reads new bytes, and the whole scan reads
+    the word at most once per letter, at C speed."""
+    ahead = {code: start for code, seed in _RUN_SEEDS.items() if (start := data.find(seed)) >= 0}
+    while ahead:
+        code = min(ahead, key=ahead.__getitem__)
+        start = ahead[code]
+        end = _RUN.match(data, start).end()
+        yield start, end
+        ahead[code] = data.find(_RUN_SEEDS[code], end)
+        if ahead[code] < 0:
+            del ahead[code]
 
 
 def cyclic_normal_form(fw: FreeProductWord) -> FreeProductWord:

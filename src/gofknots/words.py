@@ -5,6 +5,11 @@ caller's back, so building, formatting, and parsing round-trip letter for
 letter.  A letter is a signed integer: ``+1``/``-1`` for the first Artin
 generator and its inverse, ``+2``/``-2`` for the second.
 
+Every word also carries its letters as bytes, one signed byte per letter
+(``BraidWord.letter_bytes``), made once while the letters are checked.
+Validation, ``exponent_sum`` and the quotient's ``project`` read those bytes
+at C speed instead of walking a tuple of ints.
+
 Token grammar (whitespace separated, forms may be mixed):
 
     a  A  b  B      single letters; capitals are the inverses
@@ -14,6 +19,7 @@ Token grammar (whitespace separated, forms may be mixed):
 from __future__ import annotations
 
 import re
+from array import array
 from collections.abc import Iterator
 from itertools import chain, compress, islice
 from operator import ne
@@ -34,7 +40,8 @@ __all__ = [
     "standard_form",
 ]
 
-_VALID_LETTERS = frozenset((1, -1, 2, -2))
+_LETTERS = (1, -1, 2, -2)
+_LETTER_BYTES = bytes(letter & 0xFF for letter in _LETTERS)  # -1 is 255, -2 is 254
 # The most letters beta or a parsed word may have; beta and power tokens
 # past it are refused before any allocation instead of exhausting memory.
 _MAX_LETTERS = 10**7
@@ -49,16 +56,36 @@ class BraidWord(Record):
 
     The empty word is the identity.  Instances are immutable; every
     operation in this module is a pure function returning a new word.
+
+    Each letter is read as the letter it equals and stored as that int, so
+    ``1.0`` and ``True`` are stored as ``1``; a letter equal to none of
+    +-1, +-2 (``3``, ``0``, ``10**30``, ``"a"``) raises ``ValueError``
+    naming it.  ``letter_bytes`` holds the letters as signed bytes.  It is
+    a slot, not a field, so equality, hashing and repr see the letters
+    alone, and pickling and copying rebuild it by constructing the word
+    again.
     """
+
+    __slots__ = ("letter_bytes",)
 
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
-        if not _VALID_LETTERS.issuperset(self.letters):
-            bad = next(letter for letter in self.letters if letter not in _VALID_LETTERS)
-            raise ValueError(f"invalid braid letter {bad!r}")
+        letters = self.letters
+        if letters.__class__ is not tuple and not isinstance(letters, array):
+            letters = tuple(letters)
+        try:
+            codes = array("b", letters)
+        except (TypeError, OverflowError):  # a letter that is no small int
+            codes = array("b", map(_equal_letter, letters))
+        data = codes.tobytes()
+        if data.translate(None, _LETTER_BYTES):  # what is left is no letter
+            raise ValueError(f"invalid braid letter {next(c for c in codes if c not in _LETTERS)!r}")
+        object.__setattr__(self, "letters", tuple(codes))
+        object.__setattr__(self, "letter_bytes", data)
+
+    def __reduce__(self):
+        return self.__class__, (self.letters,)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -67,39 +94,76 @@ class BraidWord(Record):
         return format_braid(self)
 
 
+def _equal_letter(letter: object) -> int:
+    """The letter that ``letter`` equals, as an int."""
+    for valid in _LETTERS:
+        if letter == valid:
+            return valid
+    raise ValueError(f"invalid braid letter {letter!r}")
+
+
 _SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
 _TOKENS_BACK = {letter: token for token, letter in _SINGLE_TOKENS.items()}
+# Single-letter tokens to letter bytes through bytes.translate; every other
+# byte, the UTF-8 bytes of non-ASCII characters too, becomes 0, no letter.
+_TOKEN_CODES = {ord(token): letter & 0xFF for token, letter in _SINGLE_TOKENS.items()}
+_TOKEN_BYTES = bytes(map(_TOKEN_CODES.get, range(256), bytes(256)))
 # ASCII digits only: \d would also take digits of other scripts.
 _POWER_TOKEN = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse a token string into a braid word, letter for letter."""
-    letters: list[int] = []
-    for token in text.split():
-        if token in _SINGLE_TOKENS:
-            letters.append(_SINGLE_TOKENS[token])
-            continue
-        match = _POWER_TOKEN.fullmatch(token)
-        if match is None:
-            raise BraidParseError(f"malformed token {token!r}")
-        index, power = match.groups()
-        if index not in ("1", "2"):
-            raise BraidParseError(f"generator index out of range in token {token!r}")
-        power = power or "1"
-        # int() has its own error past 4,300 digits, so a power with more
-        # digits than the budget is taken, unread, as just past it
-        too_long = len(power.lstrip("-0")) > len(str(_MAX_LETTERS))
-        exponent = _MAX_LETTERS + 1 if too_long else int(power)
-        if exponent == 0:
-            raise BraidParseError(f"zero exponent in token {token!r}")
-        if len(letters) + abs(exponent) > _MAX_LETTERS:
-            raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
-        letters.extend(_power(int(index), exponent))
+    """Parse a token string into a braid word, letter for letter.
+
+    With one space before each token, a power token starts at every
+    ``" s"``, and between two power tokens lies a stretch of single-letter
+    tokens, which is converted by one ``translate`` call: its even
+    characters are the spaces and its odd ones the letters.  Tokens are
+    still judged in order, so the first bad token is the one named.
+    """
+    pieces = (" " + " ".join(text.split())).split(" s")
+    codes = bytearray(_single_letters(pieces[0]))
+    for piece in pieces[1:]:
+        power, space, stretch = piece.partition(" ")
+        codes += _power_letters("s" + power, len(codes))
+        codes += _single_letters(space + stretch)
     # single letters are checked once here: each costs a token of input
-    if len(letters) > _MAX_LETTERS:
-        raise BraidParseError(f"the word has {len(letters)} letters, more than {_MAX_LETTERS}")
-    return BraidWord(tuple(letters))
+    if len(codes) > _MAX_LETTERS:
+        raise BraidParseError(f"the word has {len(codes)} letters, more than {_MAX_LETTERS}")
+    return _word(codes)
+
+
+def _single_letters(stretch: str) -> bytes:
+    """The letter bytes of ``" t t ... t"``, single-letter tokens each
+    after one space; a stretch that is not one is read token by token to
+    name its first bad token."""
+    codes = stretch[1::2].encode().translate(_TOKEN_BYTES)
+    if stretch[0::2].strip() or 0 in codes:
+        for token in stretch.split():
+            if token not in _SINGLE_TOKENS:
+                raise BraidParseError(f"malformed token {token!r}")
+    return codes
+
+
+def _power_letters(token: str, length: int) -> bytes:
+    """The letter bytes of the power token ``token``, read after ``length``
+    letters."""
+    match = _POWER_TOKEN.fullmatch(token)
+    if match is None:
+        raise BraidParseError(f"malformed token {token!r}")
+    index, power = match.groups()
+    if index not in ("1", "2"):
+        raise BraidParseError(f"generator index out of range in token {token!r}")
+    power = power or "1"
+    # int() has its own error past 4,300 digits, so a power with more
+    # digits than the budget is taken, unread, as just past it
+    too_long = len(power.lstrip("-0")) > len(str(_MAX_LETTERS))
+    exponent = _MAX_LETTERS + 1 if too_long else int(power)
+    if exponent == 0:
+        raise BraidParseError(f"zero exponent in token {token!r}")
+    if length + abs(exponent) > _MAX_LETTERS:
+        raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
+    return _power(int(index), exponent)
 
 
 def format_braid(w: BraidWord) -> str:
@@ -107,17 +171,24 @@ def format_braid(w: BraidWord) -> str:
     return " ".join(_TOKENS_BACK[letter] for letter in w.letters)
 
 
-def _power(gen: int, exponent: int) -> tuple[int, ...]:
+def _power(gen: int, exponent: int) -> bytes:
+    """The letter bytes of ``s<gen>^exponent``."""
     letter = gen if exponent > 0 else -gen
-    return (letter,) * abs(exponent)
+    return bytes((letter & 0xFF,)) * abs(exponent)
+
+
+def _word(data: bytes | bytearray) -> BraidWord:
+    """The word whose letter bytes are ``data``: read as signed bytes, they
+    are copied into the word without a pass over ints."""
+    return BraidWord(array("b", data))
 
 
 def run_ends(letters: tuple[int, ...]) -> Iterator[int]:
     """The end index of every maximal run of one letter, in order, as a
     lazy iterator: ``run_ends((1, 1, -1))`` yields 2 and 3.  A run ends
     where a letter differs from the next, and that comparison runs at C
-    speed, so the matrix and the quotient layers take one Python step per
-    run, not per letter."""
+    speed, so the matrix layer takes one Python step per run, not per
+    letter."""
     following = chain(islice(letters, 1, None), (0,))  # 0 is no letter: the last run ends
     return compress(range(1, len(letters) + 1), map(ne, letters, following))
 
@@ -144,11 +215,11 @@ def conjugate_by(w: BraidWord, g: BraidWord) -> BraidWord:
 def exponent_sum(w: BraidWord) -> int:
     """Sum of letter signs, a conjugacy invariant.
 
-    Letters are exactly +-1 and +-2, so counting the two negative letters
-    gives the sum without a pass in Python.
+    Letters are exactly +-1 and +-2, so counting the bytes of the two
+    negative letters (255 and 254) gives the sum without a pass in Python.
     """
-    letters = w.letters
-    return len(letters) - 2 * (letters.count(-1) + letters.count(-2))
+    data = w.letter_bytes
+    return len(data) - 2 * (data.count(255) + data.count(254))
 
 
 def beta(k: int, n: int) -> BraidWord:
@@ -158,8 +229,8 @@ def beta(k: int, n: int) -> BraidWord:
     always 3|k| + |n| and the exponent sum 3k + n.
     """
     check_beta(k, n)
-    triple = (2, 1, 2) if k >= 0 else (-2, -1, -2)
-    return BraidWord(triple * abs(k) + _power(1, n))
+    triple = b"\x02\x01\x02" if k >= 0 else b"\xfe\xff\xfe"
+    return _word(triple * abs(k) + _power(1, n))
 
 
 def check_beta(k: int, n: int) -> None:
@@ -177,4 +248,4 @@ def standard_form(p: int, q: int) -> BraidWord:
     length, limit = abs(p) + abs(q) + 3, _MAX_LETTERS + 8
     if length > limit:
         raise ValueError(f"standard_form({p}, {q}) has {length} letters, more than {limit}")
-    return BraidWord((-2,) + _power(1, p) + (2, 2) + _power(1, q))
+    return _word(b"\xfe" + _power(1, p) + b"\x02\x02" + _power(1, q))

@@ -13,22 +13,26 @@ two-bridge functions spell out the canonical-pair rule once per function
 on plain (p, q) tuples instead of sharing one private rule.
 ``old_project`` reduces the quotient image two syllables per letter and
 ``old_represent`` multiplies the matrix over ``groupby`` runs of one
-generator, where the library walks maximal runs of one letter.  ``scramble``
+generator, where the library walks blocks of four letters and maximal
+runs.  ``old_parse_braid`` reads a token string one token per step, where
+the library converts each stretch of single letters in one call.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import groupby
 from typing import Optional
 
+from gofknots import words
 from gofknots.burau import SL2Matrix, homology_order, represent
 from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
 from gofknots.twobridge import ConwayTuple, DegenerateNotationError, NotTwoBridgeLinkError
-from gofknots.words import BraidWord, exponent_sum
+from gofknots.words import BraidParseError, BraidWord, exponent_sum
 
 _PSL_IMAGES = {
     X: SL2Matrix(0, -1, 1, 0),
@@ -282,6 +286,47 @@ def old_represent(w: BraidWord) -> SL2Matrix:
             a -= e * b
             c -= e * d
     return SL2Matrix(a, b, c, d)
+
+
+_OLD_SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
+_OLD_POWER_TOKEN = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
+
+
+def _old_power(gen: int, exponent: int) -> tuple[int, ...]:
+    letter = gen if exponent > 0 else -gen
+    return (letter,) * abs(exponent)
+
+
+def old_parse_braid(text: str) -> BraidWord:
+    """The earlier token-by-token parser, kept verbatim as a reference; it
+    reads the letter budget from ``words`` at each call, so a patched
+    budget holds for both parsers."""
+    _MAX_LETTERS = words._MAX_LETTERS
+    letters: list[int] = []
+    for token in text.split():
+        if token in _OLD_SINGLE_TOKENS:
+            letters.append(_OLD_SINGLE_TOKENS[token])
+            continue
+        match = _OLD_POWER_TOKEN.fullmatch(token)
+        if match is None:
+            raise BraidParseError(f"malformed token {token!r}")
+        index, power = match.groups()
+        if index not in ("1", "2"):
+            raise BraidParseError(f"generator index out of range in token {token!r}")
+        power = power or "1"
+        # int() has its own error past 4,300 digits, so a power with more
+        # digits than the budget is taken, unread, as just past it
+        too_long = len(power.lstrip("-0")) > len(str(_MAX_LETTERS))
+        exponent = _MAX_LETTERS + 1 if too_long else int(power)
+        if exponent == 0:
+            raise BraidParseError(f"zero exponent in token {token!r}")
+        if len(letters) + abs(exponent) > _MAX_LETTERS:
+            raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
+        letters.extend(_old_power(int(index), exponent))
+    # single letters are checked once here: each costs a token of input
+    if len(letters) > _MAX_LETTERS:
+        raise BraidParseError(f"the word has {len(letters)} letters, more than {_MAX_LETTERS}")
+    return BraidWord(tuple(letters))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

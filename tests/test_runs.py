@@ -1,6 +1,8 @@
-"""Words walked run by run: the run finder, the run-wise projection and
-matrix against their letter-by-letter references, and a cost per run that
-does not grow with the length of the run."""
+"""Words walked run by run and block by block: the run finder, the
+projection (blocks of four letters, long runs in one step) and the run-wise
+matrix against their letter-by-letter references, a cost per run that does
+not grow with the length of the run, and a projection cost of one step per
+four letters on random words."""
 
 import random
 import sys
@@ -12,6 +14,9 @@ from gofknots.modular import are_conjugate, project
 from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
 
 from oracles import old_project, old_represent
+
+
+LETTERS = (1, -1, 2, -2)
 
 
 def periodic(m):
@@ -104,6 +109,41 @@ class TestAgainstLetterByLetter:
             assert represent(w) == old_represent(w)
 
 
+class TestBlocksAndLongRuns:
+    """Runs of 1 to 12 letters after 0 to 3 other letters put block edges
+    at every offset of a run and on both sides of the long-run threshold."""
+
+    def test_runs_at_every_offset(self):
+        rng = random.Random(31)
+        for offset in range(4):
+            for length in range(1, 13):
+                for letter in LETTERS:
+                    for _ in range(4):
+                        prefix = tuple(rng.choice(LETTERS) for _ in range(offset))
+                        suffix = tuple(rng.choice(LETTERS) for _ in range(rng.randrange(6)))
+                        w = BraidWord(prefix + (letter,) * length + suffix)
+                        assert project(w) == old_project(w), w
+
+    def test_cancelling_inverse_runs_at_every_offset(self):
+        rng = random.Random(37)
+        for offset in range(4):
+            for length in range(1, 13):
+                for letter in LETTERS:
+                    prefix = tuple(rng.choice(LETTERS) for _ in range(offset))
+                    u = BraidWord(prefix + (letter,) * length)
+                    for middle in ((), (rng.choice(LETTERS),), tuple(rng.choice(LETTERS) for _ in range(5))):
+                        w = concat(concat(u, BraidWord(middle)), inverse(u))
+                        assert project(w) == old_project(w), w
+
+    def test_two_runs_of_any_two_letters(self):
+        for length in range(1, 13):
+            for other in range(1, 13):
+                for letter in LETTERS:
+                    for next_letter in LETTERS:
+                        w = BraidWord((letter,) * length + (next_letter,) * other)
+                        assert project(w) == old_project(w), w
+
+
 def _line_events(function, w):
     """Line events of every Python frame run by ``function(w)``."""
     count = 0
@@ -125,3 +165,13 @@ def _line_events(function, w):
 @pytest.mark.parametrize("function", [project, represent], ids=["project", "represent"])
 def test_steps_per_run_do_not_grow_with_the_run(function):
     assert _line_events(function, periodic(10)) == _line_events(function, periodic(100_000))
+
+
+def test_a_random_word_costs_one_step_per_four_letters():
+    # One step per block of four letters, each with its seam reduction well
+    # under 16 line events; walking runs took one step per run, some 3,000
+    # steps here at about 38 line events per four letters.
+    rng = random.Random(41)
+    w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
+    project(w)  # every block image is made on first use, so make them first
+    assert _line_events(project, w) <= 16 * len(w) // 4

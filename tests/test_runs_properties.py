@@ -1,5 +1,6 @@
-"""The run-wise projection and matrix, swept over words made of runs: long
-runs, runs that cancel earlier runs, the empty word, single letters and
+"""The block projection and the run-wise matrix, swept over words made of
+runs: long runs, runs of 1 to 12 letters at every offset from a block
+edge, runs that cancel earlier runs, the empty word, single letters and
 the periodic family s1^m s2^-1 under random conjugators all give what the
 letter-by-letter references give."""
 
@@ -31,6 +32,29 @@ def run_words(draw):
         suffix = letters[len(letters) - cut:]
         letters += draw(short_words).letters + tuple(-letter for letter in reversed(suffix))
     return BraidWord(letters)
+
+
+# runs on both sides of the long-run threshold, after 0 to 3 letters that
+# shift them against the blocks of four
+offsets = st.lists(st.sampled_from(LETTERS), max_size=3)
+short_runs = st.lists(st.tuples(st.sampled_from(LETTERS), st.integers(min_value=1, max_value=12)), max_size=10)
+
+
+@st.composite
+def block_words(draw):
+    """An offset, then runs of 1 to 12 letters, then possibly a short middle
+    and the inverse of a suffix, so that inverse runs cancel across blocks."""
+    letters = tuple(draw(offsets)) + tuple(letter for letter, count in draw(short_runs) for _ in range(count))
+    if draw(st.booleans()):
+        cut = draw(st.integers(min_value=0, max_value=len(letters)))
+        suffix = letters[len(letters) - cut:]
+        letters += draw(short_words).letters + tuple(-letter for letter in reversed(suffix))
+    return BraidWord(letters)
+
+
+@hypothesis.given(block_words())
+def test_blocks_match_the_letter_by_letter_reference(w):
+    assert project(w) == old_project(w)
 
 
 @hypothesis.given(run_words())

@@ -1,11 +1,15 @@
 """Word-level algebra: parsing, formatting, and the generating families."""
 
+import copy
+import pickle
 import random
+import re
 
 import pytest
 
 from gofknots import words
 from gofknots.burau import represent
+from gofknots.modular import project
 from gofknots.words import (
     BraidParseError,
     BraidWord,
@@ -20,7 +24,7 @@ from gofknots.words import (
     standard_form,
 )
 
-from oracles import free_reduce, scramble
+from oracles import free_reduce, old_parse_braid, scramble
 
 
 class TestParseFormat:
@@ -107,6 +111,30 @@ class TestParseFormat:
         with pytest.raises(BraidParseError, match="^the word has 31 letters, more than 20$"):
             parse_braid("A" + " B" * 30)
 
+    def test_a_power_past_the_budget_is_named_before_a_later_bad_token(self, monkeypatch):
+        # tokens are judged in order, with the budget read at the power token
+        monkeypatch.setattr(words, "_MAX_LETTERS", 10)
+        text = "a b s1^11 A ab s3"
+        message = "token 's1^11' makes the word longer than 10 letters"
+        for parse in (parse_braid, old_parse_braid):
+            with pytest.raises(BraidParseError, match=f"^{re.escape(message)}$"):
+                parse(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a b ab s1", "malformed token 'ab'"),
+            ("a s1^2 b B x A", "malformed token 'x'"),
+            ("s2^-3 A\tas1", "malformed token 'as1'"),
+            ("a \u00e9 b", "malformed token '\u00e9'"),
+            ("A s", "malformed token 's'"),
+            ("b s1^ a", "malformed token 's1^'"),
+        ],
+    )
+    def test_a_bad_stretch_names_its_first_bad_token(self, text, message):
+        with pytest.raises(BraidParseError, match=f"^{re.escape(message)}$"):
+            parse_braid(text)
+
     def test_leading_zeros_do_not_count_against_the_budget(self):
         assert parse_braid("s1^0000000000001") == parse_braid("a")
         assert parse_braid("s2^-000000000000003").letters == (-2, -2, -2)
@@ -125,6 +153,50 @@ class TestBraidWord:
 
     def test_sequence_input_is_coerced_to_tuple(self):
         assert BraidWord([1, -2]).letters == (1, -2)
+
+    @pytest.mark.parametrize("letter, stored", [(True, 1), (1.0, 1), (-2.0, -2)])
+    def test_a_letter_is_read_as_the_int_it_equals(self, letter, stored):
+        word = BraidWord((2, letter))
+        assert [type(each) for each in word.letters] == [int, int]
+        assert repr(word) == f"BraidWord(letters=(2, {stored}))"
+        assert word == BraidWord((2, stored))
+        assert word.letter_bytes == BraidWord((2, stored)).letter_bytes
+
+    @pytest.mark.parametrize("letter", [3, 0, -3, 10**30, -(10**30), "a", 1.5, None, [1]])
+    def test_a_letter_equal_to_no_letter_is_refused(self, letter):
+        with pytest.raises(ValueError, match=f"^invalid braid letter {re.escape(repr(letter))}$"):
+            BraidWord((1, -2, letter, 2))
+
+    def test_the_first_bad_letter_is_named(self):
+        with pytest.raises(ValueError, match="^invalid braid letter 3$"):
+            BraidWord((1.0, 3, "a"))
+        with pytest.raises(ValueError, match="^invalid braid letter 'a'$"):
+            BraidWord((1, "a", 3))
+        with pytest.raises(ValueError, match="^invalid braid letter 255$"):
+            BraidWord(bytes((1, 255)))  # bytes are read as the ints they hold
+
+    def test_the_byte_view_holds_one_signed_byte_per_letter(self):
+        word = parse_braid("a A b B s1^2")
+        assert word.letter_bytes == bytes((1, 255, 2, 254, 1, 1))
+        assert BraidWord().letter_bytes == b""
+        assert "letter_bytes" not in vars(word)  # a slot: eq, hash and repr never see it
+        with pytest.raises(AttributeError):
+            word.letter_bytes = b""
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [lambda w, protocol=protocol: pickle.loads(pickle.dumps(w, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+        ids=["copy", "deepcopy"] + [f"pickle-{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)],
+    )
+    def test_copies_rebuild_the_byte_view(self, clone):
+        word = parse_braid("a b B s1^9 A s2^-3")
+        twin = clone(word)
+        assert twin == word
+        assert repr(twin) == repr(word)
+        assert hash(twin) == hash(word)
+        assert twin.letter_bytes == word.letter_bytes
+        assert project(twin) == project(word)
 
     def test_len_and_str(self):
         word = parse_braid("a B a")

@@ -1,5 +1,6 @@
 """Word algebra, swept over random words: formatting and parsing
-round-trip, scrambling keeps the braid, and the two-bridge verdict is a
+round-trip, the parser agrees with the token-by-token reference on any
+token stream, scrambling keeps the braid, and the two-bridge verdict is a
 conjugacy invariant."""
 
 import pytest
@@ -18,7 +19,7 @@ from gofknots.words import (  # noqa: E402
     standard_form,
 )
 
-from oracles import scramble  # noqa: E402
+from oracles import old_parse_braid, scramble  # noqa: E402
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(tuple(letters))
@@ -57,3 +58,42 @@ def test_scramble_keeps_the_braid_and_its_class(w, seed, steps):
 @hypothesis.given(closures, words)
 def test_conjugating_keeps_the_two_bridge_verdict(w, g):
     assert is_two_bridge_closure(conjugate_by(w, g)) == is_two_bridge_closure(w)
+
+
+# Token streams for the parser: every token form of the grammar, powers
+# spelled with leading zeros, minus signs and -0, malformed tokens, and the
+# whitespace str.split() reads as a separator.
+powers = st.builds(
+    "s{}^{}{}{}".format,
+    st.sampled_from((1, 2)),
+    st.sampled_from(("", "-")),
+    st.sampled_from(("", "0", "00")),
+    st.integers(min_value=0, max_value=12),
+)
+stream_tokens = st.one_of(
+    st.sampled_from(("a", "A", "b", "B", "s1", "s2")),
+    powers,
+    st.sampled_from(("ab", "as1", "s", "s3", "s01", "s1^", "x", "\u00e9")),
+)
+separators = st.text(alphabet=" \t\n\xa0\u3000", min_size=1, max_size=3)
+
+
+@st.composite
+def token_streams(draw):
+    parts = draw(st.lists(stream_tokens, max_size=16))
+    gaps = draw(st.lists(separators, min_size=len(parts) + 1, max_size=len(parts) + 1))
+    if draw(st.booleans()):  # no leading or trailing whitespace
+        gaps[0] = gaps[-1] = ""
+    return "".join(gap + part for gap, part in zip(gaps, parts + [""]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text).letters
+    except Exception as exc:  # the kind and message are what is compared
+        return type(exc), str(exc)
+
+
+@hypothesis.given(token_streams())
+def test_parser_agrees_with_the_token_by_token_reference(text):
+    assert _outcome(parse_braid, text) == _outcome(old_parse_braid, text)
