@@ -14,11 +14,12 @@ the word's letter bytes in blocks of four, one Python step per block
 through a table of block images, and a run of eight or more letters in one
 step whatever its length.  Each piece is reduced against the stack only
 at the seam, and every reducing step removes a syllable that was stacked
-once, so the whole projection stays linear, ``w w^-1`` included.  Cyclic
-reduction moves two indices inward and slices once, the rotation test is
-a substring search of one core in the other core doubled, and the
-canonical rotation printed by ``nf`` comes from Duval's Lyndon
-factorization.
+once, so the whole projection stays linear, ``w w^-1`` included; a block
+whose image stacks whole is appended without a call.  Cyclic reduction
+finds the ends that cancel by bisection over slice comparisons, the
+rotation test is a substring search of one core in the other core
+doubled, and the canonical rotation printed by ``nf`` comes from Duval's
+Lyndon factorization.
 """
 
 from __future__ import annotations
@@ -46,6 +47,8 @@ X, Y, Y2 = 0, 1, 2
 _ALPHABET = bytes((X, Y, Y2))
 _CODES = {s: s for s in _ALPHABET}
 _SYLLABLE_NAMES = ("X", "Y", "Y2")
+# Each syllable to its inverse: X to X, Y to Y2 and back.
+_INVERSE_SYLLABLES = bytes.maketrans(bytes((Y, Y2)), bytes((Y2, Y)))
 
 
 class FreeProductWord(Record):
@@ -172,10 +175,16 @@ def project(w: BraidWord) -> FreeProductWord:
 
 def _push_letters(stack: bytearray, data: bytes, start: int, end: int) -> None:
     """Push ``data[start:end]`` in blocks of four, and the last one to
-    three letters one by one."""
+    three letters one by one.  A block image that stacks whole, because
+    its first syllable lies in another factor than the top of the stack,
+    is appended in place; an empty image or a seam that reduces goes
+    through ``_push``."""
     cut = end - (end - start) % 4
-    for key in memoryview(data)[start:cut].cast("I"):
-        _push(stack, _BLOCK_IMAGES[key])
+    for piece in map(_BLOCK_IMAGES.__getitem__, memoryview(data)[start:cut].cast("I")):
+        if piece and _SEAM[stack[-1]][piece[0]] == _KEEP:
+            stack += piece
+        else:
+            _push(stack, piece)
     for code in data[cut:end]:
         _push(stack, _LETTER_IMAGES[code])
 
@@ -213,14 +222,27 @@ def _cyclic_core(data: bytes) -> bytes:
     """Cyclic reduction of a reduced syllable word: ends from the same
     factor are stripped from both sides at once.  X against X cancels
     (X + X = 0), Y-type ends merge mod 3, and a nonzero merge, which sits
-    between two X syllables, ends the reduction."""
-    first, last = 0, len(data) - 1
-    while first < last and (data[first] == X) == (data[last] == X):
-        merged = (data[first] + data[last]) % 3
-        first += 1
-        last -= 1
-        if merged:
-            return data[first:last + 1] + bytes((merged,))
+    between two X syllables, ends the reduction.
+
+    The pairs that cancel are the longest common prefix of the word and
+    its reversal with Y and Y2 swapped, at most half the word.  It is
+    found by bisection over slice comparisons, each comparing only bytes
+    not yet known to agree: a few dozen Python steps and linear work in
+    C, however many pairs cancel.  The pair after it merges if its two
+    syllables are equal, which makes them Y-types, since X cancels X.
+    """
+    size = len(data)
+    inverted = data[::-1].translate(_INVERSE_SYLLABLES)
+    same, most = 0, size // 2  # data[:same] == inverted[:same]; no more than most cancel
+    while same < most:
+        middle = (same + most + 1) // 2
+        if data[same:middle] == inverted[same:middle]:
+            same = middle
+        else:
+            most = middle - 1
+    first, last = same, size - 1 - same
+    if first < last and data[first] == data[last]:
+        return data[first + 1:last] + bytes((3 - data[first],))
     return data[first:last + 1]
 
 

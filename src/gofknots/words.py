@@ -7,8 +7,11 @@ generator and its inverse, ``+2``/``-2`` for the second.
 
 Every word also carries its letters as bytes, one signed byte per letter
 (``BraidWord.letter_bytes``), made once while the letters are checked.
-Validation, ``exponent_sum`` and the quotient's ``project`` read those bytes
-at C speed instead of walking a tuple of ints.
+Validation, ``exponent_sum``, the word builders (``inverse``, ``mirror``,
+``concat``, ``format_braid``) and the quotient's ``project`` read those
+bytes at C speed instead of walking a tuple of ints, and the letter tuple
+itself is unpacked from them in one call.  ``parse_braid`` reads its text
+as bytes too.
 
 Token grammar (whitespace separated, forms may be mixed):
 
@@ -19,6 +22,7 @@ Token grammar (whitespace separated, forms may be mixed):
 from __future__ import annotations
 
 import re
+import struct
 from array import array
 from collections.abc import Iterator
 from itertools import chain, compress, islice
@@ -81,7 +85,7 @@ class BraidWord(Record):
         data = codes.tobytes()
         if data.translate(None, _LETTER_BYTES):  # what is left is no letter
             raise ValueError(f"invalid braid letter {next(c for c in codes if c not in _LETTERS)!r}")
-        object.__setattr__(self, "letters", tuple(codes))
+        object.__setattr__(self, "letters", struct.unpack(f"{len(data)}b", data))
         object.__setattr__(self, "letter_bytes", data)
 
     def __reduce__(self):
@@ -103,29 +107,49 @@ def _equal_letter(letter: object) -> int:
 
 
 _SINGLE_TOKENS = {"a": 1, "A": -1, "b": 2, "B": -2}
-_TOKENS_BACK = {letter: token for token, letter in _SINGLE_TOKENS.items()}
 # Single-letter tokens to letter bytes through bytes.translate; every other
 # byte, the UTF-8 bytes of non-ASCII characters too, becomes 0, no letter.
 _TOKEN_CODES = {ord(token): letter & 0xFF for token, letter in _SINGLE_TOKENS.items()}
 _TOKEN_BYTES = bytes(map(_TOKEN_CODES.get, range(256), bytes(256)))
 # ASCII digits only: \d would also take digits of other scripts.
 _POWER_TOKEN = re.compile(r"s([0-9]+)(?:\^(-?[0-9]+))?")
+# Text made of these bytes alone, with single spaces between tokens and
+# none at the ends, is what joining text.split() with spaces would give.
+_NORMAL_BYTES = b"aAbBs0123456789^- "
+# Letter bytes of canonical power tokens with |e| <= _MEMO_EXPONENT, keyed
+# by the text after the "s"; filled by _power_letters.
+_MEMO_EXPONENT = 64
+_POWERS: dict[bytes, bytes] = {}
+# Letter bytes to their negations, and to their single-letter tokens.
+_NEGATE = bytes.maketrans(b"\x01\xff\x02\xfe", b"\xff\x01\xfe\x02")
+_TOKEN_TEXT = bytes.maketrans(b"\x01\xff\x02\xfe", b"aAbB")
 
 
 def parse_braid(text: str) -> BraidWord:
     """Parse a token string into a braid word, letter for letter.
 
-    With one space before each token, a power token starts at every
-    ``" s"``, and between two power tokens lies a stretch of single-letter
-    tokens, which is converted by one ``translate`` call: its even
-    characters are the spaces and its odd ones the letters.  Tokens are
-    still judged in order, so the first bad token is the one named.
+    The text is read as bytes.  Text already in normal form (ASCII, made
+    of grammar characters, single spaces between tokens and none at the
+    ends) is read as it is; any other is first joined from
+    ``text.split()`` with single spaces.  With one space before each
+    token, a power token starts at every ``b" s"``, and between two power
+    tokens lies a stretch of single-letter tokens, which is converted by
+    one ``translate`` call: its even bytes are the spaces and its odd
+    ones the letters.  A canonical power token with a small exponent
+    comes from a memo that ``_power_letters`` fills on first use.  Tokens
+    are still judged in order, so the first bad token is the one named.
     """
-    pieces = (" " + " ".join(text.split())).split(" s")
+    data = text.encode("utf-8", "surrogatepass")
+    if data.translate(None, _NORMAL_BYTES) or b"  " in data or data.strip(b" ") != data:
+        data = " ".join(text.split()).encode("utf-8", "surrogatepass")
+    pieces = (b" " + data).split(b" s")
     codes = bytearray(_single_letters(pieces[0]))
     for piece in pieces[1:]:
-        power, space, stretch = piece.partition(" ")
-        codes += _power_letters("s" + power, len(codes))
+        power, space, stretch = piece.partition(b" ")
+        letters = _POWERS.get(power)
+        if letters is None or len(codes) + len(letters) > _MAX_LETTERS:
+            letters = _power_letters(power, len(codes))
+        codes += letters
         codes += _single_letters(space + stretch)
     # single letters are checked once here: each costs a token of input
     if len(codes) > _MAX_LETTERS:
@@ -133,21 +157,24 @@ def parse_braid(text: str) -> BraidWord:
     return _word(codes)
 
 
-def _single_letters(stretch: str) -> bytes:
-    """The letter bytes of ``" t t ... t"``, single-letter tokens each
-    after one space; a stretch that is not one is read token by token to
-    name its first bad token."""
-    codes = stretch[1::2].encode().translate(_TOKEN_BYTES)
+def _single_letters(stretch: bytes) -> bytes:
+    """The letter bytes of ``b" t t ... t"``, single-letter tokens each
+    after one space; a stretch that is not one is decoded and read token
+    by token to name its first bad token."""
+    codes = stretch[1::2].translate(_TOKEN_BYTES)
     if stretch[0::2].strip() or 0 in codes:
-        for token in stretch.split():
+        for token in _decode(stretch).split():
             if token not in _SINGLE_TOKENS:
                 raise BraidParseError(f"malformed token {token!r}")
     return codes
 
 
-def _power_letters(token: str, length: int) -> bytes:
-    """The letter bytes of the power token ``token``, read after ``length``
-    letters."""
+def _power_letters(key: bytes, length: int) -> bytes:
+    """The letter bytes of the power token ``b"s" + key``, read after
+    ``length`` letters.  A canonical spelling with an exponent of at most
+    ``_MEMO_EXPONENT`` is kept in ``_POWERS`` under ``key``: at most 258
+    entries, none made at import."""
+    token = "s" + _decode(key)
     match = _POWER_TOKEN.fullmatch(token)
     if match is None:
         raise BraidParseError(f"malformed token {token!r}")
@@ -163,12 +190,24 @@ def _power_letters(token: str, length: int) -> bytes:
         raise BraidParseError(f"zero exponent in token {token!r}")
     if length + abs(exponent) > _MAX_LETTERS:
         raise BraidParseError(f"token {token!r} makes the word longer than {_MAX_LETTERS} letters")
-    return _power(int(index), exponent)
+    letters = _power(int(index), exponent)
+    if abs(exponent) <= _MEMO_EXPONENT and power == str(exponent):
+        _POWERS[key] = letters
+    return letters
+
+
+def _decode(data: bytes) -> str:
+    """The text that ``parse_braid`` encoded as ``data``."""
+    return data.decode("utf-8", "surrogatepass")
 
 
 def format_braid(w: BraidWord) -> str:
-    """Render a word in single-letter tokens; the empty word renders as ''."""
-    return " ".join(_TOKENS_BACK[letter] for letter in w.letters)
+    """Render a word in single-letter tokens; the empty word renders as ''.
+    The tokens fill the even bytes and spaces the odd ones."""
+    data = w.letter_bytes
+    text = bytearray(b" ") * (2 * len(data))
+    text[0::2] = data.translate(_TOKEN_TEXT)
+    return text[:-1].decode()
 
 
 def _power(gen: int, exponent: int) -> bytes:
@@ -194,17 +233,17 @@ def run_ends(letters: tuple[int, ...]) -> Iterator[int]:
 
 
 def concat(u: BraidWord, v: BraidWord) -> BraidWord:
-    return BraidWord(u.letters + v.letters)
+    return _word(u.letter_bytes + v.letter_bytes)
 
 
 def inverse(w: BraidWord) -> BraidWord:
     """Reverse the word and invert each letter."""
-    return BraidWord(tuple(-letter for letter in reversed(w.letters)))
+    return _word(w.letter_bytes[::-1].translate(_NEGATE))
 
 
 def mirror(w: BraidWord) -> BraidWord:
     """Invert each letter in place; the closure becomes its mirror image."""
-    return BraidWord(tuple(-letter for letter in w.letters))
+    return _word(w.letter_bytes.translate(_NEGATE))
 
 
 def conjugate_by(w: BraidWord, g: BraidWord) -> BraidWord:

@@ -15,7 +15,11 @@ on plain (p, q) tuples instead of sharing one private rule.
 ``old_represent`` multiplies the matrix over ``groupby`` runs of one
 generator, where the library walks blocks of four letters and maximal
 runs.  ``old_parse_braid`` reads a token string one token per step, where
-the library converts each stretch of single letters in one call.  ``scramble``
+the library converts each stretch of single letters in one call.
+``old_format_braid``, ``old_inverse`` and ``old_mirror`` build a word
+letter by letter, where the library translates its letter bytes, and
+``old_cyclic_core`` strips one pair of ends per step, where the library
+bisects for the pairs that cancel.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
@@ -327,6 +331,37 @@ def old_parse_braid(text: str) -> BraidWord:
     if len(letters) > _MAX_LETTERS:
         raise BraidParseError(f"the word has {len(letters)} letters, more than {_MAX_LETTERS}")
     return BraidWord(tuple(letters))
+
+
+_OLD_TOKENS_BACK = {letter: token for token, letter in _OLD_SINGLE_TOKENS.items()}
+
+
+def old_format_braid(w: BraidWord) -> str:
+    """The earlier letter-by-letter formatter, kept verbatim as a reference."""
+    return " ".join(_OLD_TOKENS_BACK[letter] for letter in w.letters)
+
+
+def old_inverse(w: BraidWord) -> BraidWord:
+    """The earlier letter-by-letter inverse, kept verbatim as a reference."""
+    return BraidWord(tuple(-letter for letter in reversed(w.letters)))
+
+
+def old_mirror(w: BraidWord) -> BraidWord:
+    """The earlier letter-by-letter mirror, kept verbatim as a reference."""
+    return BraidWord(tuple(-letter for letter in w.letters))
+
+
+def old_cyclic_core(data: bytes) -> bytes:
+    """The earlier cyclic reduction, one stripped pair per step, kept
+    verbatim as a reference."""
+    first, last = 0, len(data) - 1
+    while first < last and (data[first] == X) == (data[last] == X):
+        merged = (data[first] + data[last]) % 3
+        first += 1
+        last -= 1
+        if merged:
+            return data[first:last + 1] + bytes((merged,))
+    return data[first:last + 1]
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

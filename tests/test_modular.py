@@ -11,6 +11,7 @@ from gofknots.modular import (
     Y,
     Y2,
     FreeProductWord,
+    _cyclic_core,
     are_conjugate,
     cyclic_normal_form,
     project,
@@ -26,7 +27,7 @@ from gofknots.words import (
     standard_form,
 )
 
-from oracles import find_conjugator_brute, old_project, psl_matrix, scramble
+from oracles import find_conjugator_brute, old_cyclic_core, old_project, psl_matrix, scramble
 
 
 def random_word(rng, max_len=30):
@@ -175,6 +176,51 @@ class TestCyclicNormalForm:
 
     def test_least_rotation_is_chosen(self):
         assert cyclic_normal_form(FreeProductWord((Y, X, Y2, X))).syllables == bytes((X, Y, X, Y2))
+
+
+class TestCyclicCore:
+    """The bisected cyclic reduction against the pair-by-pair loop."""
+
+    @pytest.mark.parametrize(
+        "syllables, core",
+        [
+            ((), ()),
+            ((X,), (X,)),
+            ((Y2,), (Y2,)),
+            ((X, Y), (X, Y)),  # even length: the ends lie in different factors
+            ((X, Y, X), (Y,)),  # X against X cancels
+            ((Y, X, Y), (X, Y2)),  # Y against Y merges to Y2
+            ((Y2, X, Y2), (X, Y)),
+            ((X, Y, X, Y, X), (X, Y2)),  # X cancels, then Y against Y merges
+            ((Y, X, Y, X, Y2), (Y,)),  # Y against Y2 cancels, then X against X
+            ((Y2, X, Y2, X, Y, X, Y2), (X, Y2, X, Y, X, Y)),  # Y2 against Y2 merges to Y
+            ((Y, X, Y2, X, Y, X, Y2), (X,)),  # every pair cancels
+            ((X, Y2, X, Y, X, Y2, X, Y, X), (X,)),
+        ],
+    )
+    def test_listed_words(self, syllables, core):
+        data = bytes(syllables)
+        assert _cyclic_core(data) == old_cyclic_core(data) == bytes(core)
+
+    def test_fully_cancelling_words_of_every_odd_length(self):
+        rng = random.Random(47)
+        for half in range(40):
+            start = rng.choice((X, Y))
+            left = bytes(X if (i % 2 == 0) == (start == X) else rng.choice((Y, Y2)) for i in range(half))
+            for middle in (X, Y, Y2):
+                if left and (left[-1] == X) == (middle == X):
+                    continue
+                data = left + bytes((middle,)) + left[::-1].translate(bytes.maketrans(b"\1\2", b"\2\1"))
+                FreeProductWord(data)  # reduced
+                assert _cyclic_core(data) == old_cyclic_core(data) == bytes((middle,))
+
+    def test_projections_of_long_conjugates(self):
+        rng = random.Random(53)
+        for length in (1, 2, 3, 50, 999, 4000):
+            g = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(length)))
+            for w in (BraidWord(), parse_braid("a"), parse_braid("s1^7 s2^-1"), random_word(rng)):
+                data = project(conjugate_by(w, g)).syllables
+                assert _cyclic_core(data) == old_cyclic_core(data)
 
 
 class TestAreConjugate:

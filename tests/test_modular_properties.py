@@ -1,15 +1,27 @@
 """The central quotient, swept over random words: the cyclic normal form is
 a conjugacy invariant, the conjugacy decision accepts every conjugate and
-is symmetric, and projected words are bytes and rebuild unchanged from
-any sequence type."""
+is symmetric, projected words are bytes and rebuild unchanged from any
+sequence type, and the bisected cyclic core agrees with the pair-by-pair
+reference."""
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from gofknots.modular import FreeProductWord, are_conjugate, cyclic_normal_form, project  # noqa: E402
+from gofknots.modular import (  # noqa: E402
+    X,
+    Y,
+    Y2,
+    FreeProductWord,
+    _cyclic_core,
+    are_conjugate,
+    cyclic_normal_form,
+    project,
+)
 from gofknots.words import BraidWord, conjugate_by  # noqa: E402
+
+from oracles import old_cyclic_core  # noqa: E402
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(tuple(letters))
@@ -40,3 +52,29 @@ def test_projected_word_round_trips(w):
     assert type(cyclic_normal_form(fw).syllables) is bytes
     for form in (bytes, list, tuple, bytearray):
         assert FreeProductWord(form(fw.syllables)) == fw
+
+
+@st.composite
+def reduced_words(draw):
+    """Reduced syllable words of either parity, X at either end or not."""
+    ys = draw(st.lists(st.sampled_from((Y, Y2)), max_size=20))
+    lead, trail = draw(st.booleans()), draw(st.booleans())
+    if not ys:
+        return bytes((X,)) if lead else b""
+    syllables = [X] if lead else []
+    for y in ys:
+        syllables += [y, X]
+    return bytes(syllables if trail else syllables[:-1])
+
+
+@hypothesis.given(words, words)
+def test_the_core_of_a_conjugate_agrees_with_the_reference(w, g):
+    for word in (w, conjugate_by(w, g)):
+        syllables = project(word).syllables
+        assert _cyclic_core(syllables) == old_cyclic_core(syllables)
+
+
+@hypothesis.given(reduced_words())
+def test_the_core_of_a_reduced_word_agrees_with_the_reference(syllables):
+    FreeProductWord(syllables)  # reduced
+    assert _cyclic_core(syllables) == old_cyclic_core(syllables)

@@ -1,8 +1,9 @@
 """Words walked run by run and block by block: the run finder, the
 projection (blocks of four letters, long runs in one step) and the run-wise
 matrix against their letter-by-letter references, a cost per run that does
-not grow with the length of the run, and a projection cost of one step per
-four letters on random words."""
+not grow with the length of the run, a projection cost of one step per
+four letters on random words, and a cyclic core whose cost does not grow
+with the ends that cancel."""
 
 import random
 import sys
@@ -10,7 +11,7 @@ import sys
 import pytest
 
 from gofknots.burau import represent
-from gofknots.modular import are_conjugate, project
+from gofknots.modular import _cyclic_core, are_conjugate, project
 from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
 
 from oracles import old_project, old_represent
@@ -135,6 +136,23 @@ class TestBlocksAndLongRuns:
                         w = concat(concat(u, BraidWord(middle)), inverse(u))
                         assert project(w) == old_project(w), w
 
+    def test_blocks_with_empty_images_at_every_offset(self):
+        # a A b B projects to the empty word, so its block pushes nothing
+        rng = random.Random(59)
+        empty = (1, -1, 2, -2)
+        for offset in range(4):
+            for _ in range(40):
+                parts = [tuple(rng.choice(LETTERS) for _ in range(offset))]
+                for _ in range(rng.randrange(1, 6)):
+                    parts.append(rng.choice((
+                        empty,
+                        empty * rng.randrange(1, 4),
+                        (rng.choice(LETTERS),) * rng.choice((8, 9, 13, 30)),
+                        tuple(rng.choice(LETTERS) for _ in range(rng.randrange(1, 9))),
+                    )))
+                w = BraidWord(sum(parts, ()))
+                assert project(w) == old_project(w), w
+
     def test_two_runs_of_any_two_letters(self):
         for length in range(1, 13):
             for other in range(1, 13):
@@ -175,3 +193,13 @@ def test_a_random_word_costs_one_step_per_four_letters():
     w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
     project(w)  # every block image is made on first use, so make them first
     assert _line_events(project, w) <= 16 * len(w) // 4
+
+
+def test_the_cyclic_core_costs_a_few_steps_however_many_ends_cancel():
+    # Bisection takes a step per halving, some 14 here; stripping one pair
+    # of ends per step took one step per pair, thousands here.
+    rng = random.Random(43)
+    g = BraidWord(tuple(rng.choice(LETTERS) for _ in range(5000)))
+    syllables = project(conjugate_by(periodic(3), g)).syllables
+    assert len(syllables) - len(_cyclic_core(syllables)) > 2000
+    assert _line_events(_cyclic_core, syllables) <= 200

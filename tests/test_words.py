@@ -1,9 +1,13 @@
 """Word-level algebra: parsing, formatting, and the generating families."""
 
 import copy
+import os
 import pickle
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +133,9 @@ class TestParseFormat:
             ("a \u00e9 b", "malformed token '\u00e9'"),
             ("A s", "malformed token 's'"),
             ("b s1^ a", "malformed token 's1^'"),
+            # a lone surrogate, as os.fsdecode makes of a byte that is no UTF-8
+            ("a \udcff b", "malformed token '\\udcff'"),
+            ("s1^2 s\udcff a", "malformed token 's\\udcff'"),
         ],
     )
     def test_a_bad_stretch_names_its_first_bad_token(self, text, message):
@@ -140,6 +147,53 @@ class TestParseFormat:
         assert parse_braid("s2^-000000000000003").letters == (-2, -2, -2)
         with pytest.raises(BraidParseError, match="^zero exponent"):
             parse_braid("s1^-0000000000000")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a  b",
+            " a",
+            "a ",
+            "s1^2  A",
+            "a\tb",
+            "a\r\nb",
+            "a\x0bb\x0cA",
+            "a\x1cb",
+            "s1^2\x1db\x1eA\x1fs2",
+            "a\u3000s1",
+        ],
+    )
+    def test_text_not_in_normal_form_is_split_as_str_split_splits_it(self, text):
+        assert parse_braid(text) == old_parse_braid(text)
+
+    def test_the_power_memo_holds_canonical_small_exponents_only(self, monkeypatch):
+        monkeypatch.setattr(words, "_POWERS", {})
+        text = "s1^3 s1^03 s1^003 s2^-65 s1^1000 s2 s2^-64"
+        assert parse_braid(text) == old_parse_braid(text)
+        assert words._POWERS == {b"1^3": b"\x01" * 3, b"2": b"\x02", b"2^-64": b"\xfe" * 64}
+        assert parse_braid(text) == old_parse_braid(text)  # read from the memo
+
+    def test_the_power_memo_is_empty_at_import(self):
+        script = "import gofknots.words as w; print(len(w._POWERS))"
+        env = dict(os.environ, PYTHONPATH=str(Path(words.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout == "0\n", done.stderr
+
+    def test_a_power_from_the_memo_still_meets_the_budget(self, monkeypatch):
+        parse_braid("s1^3 s2^-2")  # both in the memo
+        monkeypatch.setattr(words, "_MAX_LETTERS", 10)
+        assert words._POWERS[b"1^3"] == b"\x01" * 3
+        assert len(parse_braid("a a a a a a a s1^3")) == 10
+        for text in ("a a a a a a a a s1^3", "s2^-2 b b b b b b s1^3 a", "A s1^3 s1^3 s1^3 s2^-2"):
+            outcomes = []
+            for parse in (parse_braid, old_parse_braid):
+                with pytest.raises(BraidParseError) as excinfo:
+                    parse(text)
+                outcomes.append(str(excinfo.value))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0].endswith("makes the word longer than 10 letters")
 
 
 class TestBraidWord:

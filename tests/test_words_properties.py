@@ -1,6 +1,7 @@
 """Word algebra, swept over random words: formatting and parsing
 round-trip, the parser agrees with the token-by-token reference on any
-token stream, scrambling keeps the braid, and the two-bridge verdict is a
+token stream, the word builders agree with their letter-by-letter
+references, scrambling keeps the braid, and the two-bridge verdict is a
 conjugacy invariant."""
 
 import pytest
@@ -13,13 +14,16 @@ from gofknots.classify import is_two_bridge_closure  # noqa: E402
 from gofknots.modular import are_conjugate  # noqa: E402
 from gofknots.words import (  # noqa: E402
     BraidWord,
+    concat,
     conjugate_by,
     format_braid,
+    inverse,
+    mirror,
     parse_braid,
     standard_form,
 )
 
-from oracles import old_parse_braid, scramble  # noqa: E402
+from oracles import old_format_braid, old_inverse, old_mirror, old_parse_braid, scramble  # noqa: E402
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(tuple(letters))
@@ -75,7 +79,7 @@ stream_tokens = st.one_of(
     powers,
     st.sampled_from(("ab", "as1", "s", "s3", "s01", "s1^", "x", "\u00e9")),
 )
-separators = st.text(alphabet=" \t\n\xa0\u3000", min_size=1, max_size=3)
+separators = st.text(alphabet=" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\xa0\u3000", min_size=1, max_size=3)
 
 
 @st.composite
@@ -97,3 +101,12 @@ def _outcome(parse, text):
 @hypothesis.given(token_streams())
 def test_parser_agrees_with_the_token_by_token_reference(text):
     assert _outcome(parse_braid, text) == _outcome(old_parse_braid, text)
+
+
+@hypothesis.given(words, words)
+def test_word_builders_agree_with_the_letter_by_letter_references(u, v):
+    # the words strategy draws the empty word too
+    assert inverse(u) == old_inverse(u)
+    assert mirror(u) == old_mirror(u)
+    assert format_braid(u) == old_format_braid(u)
+    assert concat(u, v) == BraidWord(u.letters + v.letters)
