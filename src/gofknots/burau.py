@@ -64,17 +64,19 @@ def represent(w: BraidWord) -> SL2Matrix:
     The product is kept as four integers.  A run s1^e adds e times the
     first column to the second (b += e*a, d += e*c); a run s2^e subtracts
     e times the second column from the first (a -= e*b, c -= e*d); a run
-    of inverse letters does the same with -e.  The result is validated as
-    an SL2Matrix once.
+    of inverse letters does the same with -e.  The runs are read off the
+    word's letter bytes (``BraidWord.letter_bytes``): bytes 1 and 255 are
+    s1 and its inverse, and a byte of 128 or more is an inverse letter.
+    The result is validated as an SL2Matrix once.
     """
     a, b, c, d = 1, 0, 0, 1
-    letters = w.letters
+    data = w.letter_bytes
     start = 0
-    for end in run_ends(letters):
-        letter = letters[start]
-        e = end - start if letter > 0 else start - end
+    for end in run_ends(data):
+        letter = data[start]
+        e = end - start if letter < 128 else start - end
         start = end
-        if letter == 1 or letter == -1:
+        if letter == 1 or letter == 255:
             b += e * a
             d += e * c
         else:

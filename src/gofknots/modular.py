@@ -10,16 +10,16 @@ quotient forgets, this decides conjugacy of braids exactly.
 
 Every step is linear in the word length, and a syllable word is one
 ``bytes`` object from projection to the rotation test.  Projection reads
-the word's letter bytes in blocks of four, one Python step per block
-through a table of block images, and a run of eight or more letters in one
-step whatever its length.  Each piece is reduced against the stack only
-at the seam, and every reducing step removes a syllable that was stacked
-once, so the whole projection stays linear, ``w w^-1`` included; a block
-whose image stacks whole is appended without a call.  Cyclic reduction
-finds the ends that cancel by bisection over slice comparisons, the
-rotation test is a substring search of one core in the other core
-doubled, and the canonical rotation printed by ``nf`` comes from Duval's
-Lyndon factorization.
+the word's letter bytes eight letters per Python step, through a table of
+the images of blocks of four and a table of the images of pairs of those,
+and a run of eight or more letters in one step whatever its length.  Each
+piece is reduced against the stack only at the seam, and every reducing
+step removes a syllable that was stacked once, so the whole projection
+stays linear, ``w w^-1`` included; a piece whose image stacks whole is
+appended without a call.  Cyclic reduction finds the ends that cancel by
+bisection over slice comparisons, the rotation test is a substring search
+of one core in the other core doubled, and the canonical rotation printed
+by ``nf`` comes from Duval's Lyndon factorization.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 import sys
 from collections.abc import Iterator
+from itertools import chain
 
 from ._record import Record
 from .words import BraidWord, exponent_sum
@@ -147,21 +148,41 @@ class _BlockImages(dict):
         return image
 
 
+class _PairImages(dict):
+    """Reduced images of two blocks of four letters in a row, keyed by the
+    pair of their block images.  The 256 blocks have only 61 distinct
+    images, so there are at most 61 * 61 = 3,721 entries, each made the
+    first time its pair is met, and none at import."""
+
+    def __missing__(self, key: tuple[bytes, bytes]) -> bytes:
+        first, second = key
+        stack = bytearray((_BOTTOM,)) + first
+        _push(stack, second)
+        image = self[key] = bytes(stack[1:])
+        return image
+
+
 _BLOCK_IMAGES = _BlockImages()
+_PAIR_IMAGES = _PairImages()
 
 
 def project(w: BraidWord) -> FreeProductWord:
     """Image of a braid word in the central quotient, fully reduced.
 
-    The word's letter bytes (``BraidWord.letter_bytes``) are read four
-    letters per step: each block of four has its reduced image in a table,
-    which ``_push`` reduces against the stack.  A run of eight or more
-    letters is one step too: the copies of one letter's image repeat
+    The word's letter bytes (``BraidWord.letter_bytes``) are read eight
+    letters per step: each block of four has its reduced image in one
+    table, and each pair of block images the reduced image of the pair in
+    another, which ``_push`` reduces against the stack.  A run of eight or
+    more letters is one step too: the copies of one letter's image repeat
     without reducing (XY XY, YX YX, Y2X Y2X and XY2 XY2 are reduced words),
-    so the whole run's image is pushed at once.  The stack is a bytearray
-    over one bottom marker, frozen once into the word's bytes.
+    so the whole run's image is pushed at once.
     """
-    data = w.letter_bytes
+    return FreeProductWord(_reduce(w.letter_bytes))
+
+
+def _reduce(data: bytes) -> bytes:
+    """The reduced syllables of the letter bytes ``data``: the stack is a
+    bytearray over one bottom marker, frozen once into bytes."""
     stack = bytearray((_BOTTOM,))
     start = 0
     for run_start, run_end in _long_runs(data):
@@ -170,23 +191,29 @@ def project(w: BraidWord) -> FreeProductWord:
         start = run_end
     _push_letters(stack, data, start, len(data))
     del stack[0]
-    return FreeProductWord(bytes(stack))
+    return bytes(stack)
 
 
 def _push_letters(stack: bytearray, data: bytes, start: int, end: int) -> None:
-    """Push ``data[start:end]`` in blocks of four, and the last one to
-    three letters one by one.  A block image that stacks whole, because
-    its first syllable lies in another factor than the top of the stack,
-    is appended in place; an empty image or a seam that reduces goes
-    through ``_push``."""
-    cut = end - (end - start) % 4
-    for piece in map(_BLOCK_IMAGES.__getitem__, memoryview(data)[start:cut].cast("I")):
+    """Push ``data[start:end]`` in pairs of blocks of four, then the one
+    block of four and the one to three letters left over, one by one.  A
+    piece that stacks whole, because its first syllable lies in another
+    factor than the top of the stack, is appended in place; an empty piece
+    or a seam that reduces goes through ``_push``."""
+    view = memoryview(data)
+    pairs_end = end - (end - start) % 8
+    blocks_end = end - (end - start) % 4
+    blocks = map(_BLOCK_IMAGES.__getitem__, view[start:pairs_end].cast("I"))
+    pieces = chain(
+        map(_PAIR_IMAGES.__getitem__, zip(blocks, blocks)),
+        map(_BLOCK_IMAGES.__getitem__, view[pairs_end:blocks_end].cast("I")),
+        map(_LETTER_IMAGES.__getitem__, data[blocks_end:end]),
+    )
+    for piece in pieces:
         if piece and _SEAM[stack[-1]][piece[0]] == _KEEP:
             stack += piece
         else:
             _push(stack, piece)
-    for code in data[cut:end]:
-        _push(stack, _LETTER_IMAGES[code])
 
 
 def _long_runs(data: bytes) -> Iterator[tuple[int, int]]:
@@ -272,10 +299,11 @@ def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     the two cores are compared by a substring search of one in the other
     doubled, which CPython runs in linear time; no canonical rotation is
     needed.  The exponent sum then pins down the central factor, because
-    conjugating in the braid group cannot absorb a central power.
+    conjugating in the braid group cannot absorb a central power.  The
+    reduced syllables go to the cyclic core as bytes, with no record built.
     """
     if exponent_sum(u) != exponent_sum(v):
         return False
-    a = _cyclic_core(project(u).syllables)
-    b = _cyclic_core(project(v).syllables)
+    a = _cyclic_core(_reduce(u.letter_bytes))
+    b = _cyclic_core(_reduce(v.letter_bytes))
     return len(a) == len(b) and b in a + a

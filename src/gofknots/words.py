@@ -5,13 +5,13 @@ caller's back, so building, formatting, and parsing round-trip letter for
 letter.  A letter is a signed integer: ``+1``/``-1`` for the first Artin
 generator and its inverse, ``+2``/``-2`` for the second.
 
-Every word also carries its letters as bytes, one signed byte per letter
-(``BraidWord.letter_bytes``), made once while the letters are checked.
+A word stores its letters once, as bytes, one signed byte per letter
+(``BraidWord.letter_bytes``), made while the letters are checked; the
+tuple of ints in ``BraidWord.letters`` is unpacked from them on each read.
 Validation, ``exponent_sum``, the word builders (``inverse``, ``mirror``,
-``concat``, ``format_braid``) and the quotient's ``project`` read those
-bytes at C speed instead of walking a tuple of ints, and the letter tuple
-itself is unpacked from them in one call.  ``parse_braid`` reads its text
-as bytes too.
+``concat``, ``format_braid``), the quotient's ``project`` and the matrix
+layer's ``represent`` read those bytes at C speed instead of walking a
+tuple of ints.  ``parse_braid`` reads its text as bytes too.
 
 Token grammar (whitespace separated, forms may be mixed):
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 import struct
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from itertools import chain, compress, islice
 from operator import ne
 
@@ -55,27 +55,39 @@ class BraidParseError(ValueError):
     """A braid token string violates the grammar."""
 
 
+class _Letters:
+    """The ``letters`` field of a word, unpacked from its letter bytes by
+    one ``struct.unpack`` on each read.  Read on the class, it is the
+    field's default, the empty word."""
+
+    def __get__(self, word: BraidWord | None, owner: type | None = None) -> tuple[int, ...]:
+        if word is None:
+            return ()
+        data = word.letter_bytes
+        return struct.unpack(f"{len(data)}b", data)
+
+
 class BraidWord(Record):
     """An unreduced word in the generators of the three-strand braid group.
 
     The empty word is the identity.  Instances are immutable; every
     operation in this module is a pure function returning a new word.
 
-    Each letter is read as the letter it equals and stored as that int, so
-    ``1.0`` and ``True`` are stored as ``1``; a letter equal to none of
-    +-1, +-2 (``3``, ``0``, ``10**30``, ``"a"``) raises ``ValueError``
-    naming it.  ``letter_bytes`` holds the letters as signed bytes.  It is
-    a slot, not a field, so equality, hashing and repr see the letters
-    alone, and pickling and copying rebuild it by constructing the word
-    again.
+    Each letter is read as the letter it equals, so ``1.0`` and ``True``
+    are read as ``1``; a letter equal to none of +-1, +-2 (``3``, ``0``,
+    ``10**30``, ``"a"``) raises ``ValueError`` naming it.  The word keeps
+    one copy of its letters, as signed bytes in ``letter_bytes``, a slot;
+    ``letters`` is unpacked from them on each read.  Equality compares the
+    bytes, and hashing, repr, pickling and copying see the ``letters``
+    tuple, as for any other record with that one field.
     """
 
     __slots__ = ("letter_bytes",)
 
-    letters: tuple[int, ...] = ()
+    letters: tuple[int, ...] = _Letters()
 
     def __post_init__(self) -> None:
-        letters = self.letters
+        letters = self.__dict__.pop("letters")
         if letters.__class__ is not tuple and not isinstance(letters, array):
             letters = tuple(letters)
         try:
@@ -85,14 +97,24 @@ class BraidWord(Record):
         data = codes.tobytes()
         if data.translate(None, _LETTER_BYTES):  # what is left is no letter
             raise ValueError(f"invalid braid letter {next(c for c in codes if c not in _LETTERS)!r}")
-        object.__setattr__(self, "letters", struct.unpack(f"{len(data)}b", data))
         object.__setattr__(self, "letter_bytes", data)
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self.letter_bytes == other.letter_bytes
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(letters={self.letters!r})"
 
     def __reduce__(self):
         return self.__class__, (self.letters,)
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.letter_bytes)
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -222,12 +244,12 @@ def _word(data: bytes | bytearray) -> BraidWord:
     return BraidWord(array("b", data))
 
 
-def run_ends(letters: tuple[int, ...]) -> Iterator[int]:
+def run_ends(letters: Sequence[int]) -> Iterator[int]:
     """The end index of every maximal run of one letter, in order, as a
-    lazy iterator: ``run_ends((1, 1, -1))`` yields 2 and 3.  A run ends
-    where a letter differs from the next, and that comparison runs at C
-    speed, so the matrix layer takes one Python step per run, not per
-    letter."""
+    lazy iterator: ``run_ends((1, 1, -1))`` yields 2 and 3, and so do the
+    letter bytes ``run_ends(b"\\x01\\x01\\xff")``.  A run ends where a
+    letter differs from the next, and that comparison runs at C speed, so
+    the matrix layer takes one Python step per run, not per letter."""
     following = chain(islice(letters, 1, None), (0,))  # 0 is no letter: the last run ends
     return compress(range(1, len(letters) + 1), map(ne, letters, following))
 

@@ -1,23 +1,30 @@
 """Words walked run by run and block by block: the run finder, the
-projection (blocks of four letters, long runs in one step) and the run-wise
-matrix against their letter-by-letter references, a cost per run that does
-not grow with the length of the run, a projection cost of one step per
-four letters on random words, and a cyclic core whose cost does not grow
-with the ends that cancel."""
+projection (pairs of blocks of four letters, long runs in one step) and the
+run-wise matrix against their letter-by-letter references, a pair table
+that starts empty and holds pairs of block images only, a cost per run
+that does not grow with the length of the run, a projection cost of one
+step per eight letters on random words, and a cyclic core whose cost does
+not grow with the ends that cancel."""
 
+import os
 import random
+import subprocess
 import sys
+from itertools import product
+from pathlib import Path
 
 import pytest
 
+from gofknots import modular
 from gofknots.burau import represent
-from gofknots.modular import _cyclic_core, are_conjugate, project
+from gofknots.modular import FreeProductWord, _cyclic_core, are_conjugate, project
 from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
 
 from oracles import old_project, old_represent
 
 
 LETTERS = (1, -1, 2, -2)
+LETTER_BYTES = (1, 255, 2, 254)
 
 
 def periodic(m):
@@ -162,6 +169,74 @@ class TestBlocksAndLongRuns:
                         assert project(w) == old_project(w), w
 
 
+class TestPairsOfBlocks:
+    """Eight letters per step: pairs of block images after 0 to 7 other
+    letters, so that pair edges fall at every offset mod 8 of what follows,
+    with 0 to 7 letters left over at the end."""
+
+    EMPTY = (1, -1, 2, -2)  # a A b B: its block image is empty
+
+    def test_pairs_that_project_to_nothing_at_every_offset(self):
+        rng = random.Random(61)
+        for offset in range(8):
+            for _ in range(30):
+                block = tuple(rng.choice(LETTERS) for _ in range(4))
+                inverse_block = tuple(-letter for letter in reversed(block))
+                prefix = tuple(rng.choice(LETTERS) for _ in range(offset))
+                parts = [prefix]
+                for _ in range(rng.randrange(1, 5)):
+                    parts.append(rng.choice((
+                        self.EMPTY * 2,  # both images empty
+                        block + inverse_block,  # the second image cancels the first whole
+                        inverse_block + block,
+                        block + self.EMPTY,
+                        tuple(rng.choice(LETTERS) for _ in range(rng.randrange(1, 9))),
+                    )))
+                w = BraidWord(sum(parts, ()))
+                assert project(w) == old_project(w), w
+                assert project(concat(w, inverse(w))) == FreeProductWord()
+
+    def test_pairs_straddling_a_long_run(self):
+        rng = random.Random(67)
+        for offset in range(16):
+            for length in (7, 8, 9, 12, 20):
+                for letter in LETTERS:
+                    prefix = tuple(rng.choice(LETTERS) for _ in range(offset))
+                    suffix = tuple(rng.choice(LETTERS) for _ in range(rng.randrange(17)))
+                    w = BraidWord(prefix + (letter,) * length + suffix)
+                    assert project(w) == old_project(w), w
+                    u = BraidWord(prefix + (letter,) * length)
+                    w = concat(concat(u, BraidWord(suffix)), inverse(u))
+                    assert project(w) == old_project(w), w
+
+    def test_tails_of_zero_to_seven_letters(self):
+        rng = random.Random(71)
+        for pairs in range(4):
+            for tail in range(8):
+                for _ in range(25):
+                    w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(8 * pairs + tail)))
+                    assert project(w) == old_project(w), w
+
+    def test_the_pair_table_is_empty_at_import(self):
+        script = "import gofknots.modular as m; print(len(m._PAIR_IMAGES))"
+        env = dict(os.environ, PYTHONPATH=str(Path(modular.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert done.stdout == "0\n", done.stderr
+
+    def test_pair_keys_are_pairs_of_the_61_block_images(self):
+        rng = random.Random(73)
+        for _ in range(200):
+            project(BraidWord(tuple(rng.choice(LETTERS) for _ in range(rng.randrange(8, 400)))))
+        blocks = (int.from_bytes(bytes(block), sys.byteorder) for block in product(LETTER_BYTES, repeat=4))
+        block_images = set(map(modular._BLOCK_IMAGES.__getitem__, blocks))
+        assert len(block_images) == 61
+        assert 0 < len(modular._PAIR_IMAGES) <= 61 * 61
+        for first, second in modular._PAIR_IMAGES:
+            assert first in block_images and second in block_images
+
+
 def _line_events(function, w):
     """Line events of every Python frame run by ``function(w)``."""
     count = 0
@@ -193,6 +268,15 @@ def test_a_random_word_costs_one_step_per_four_letters():
     w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
     project(w)  # every block image is made on first use, so make them first
     assert _line_events(project, w) <= 16 * len(w) // 4
+
+
+def test_a_random_word_costs_one_step_per_eight_letters():
+    # One step per pair of blocks, each with its seam reduction well under
+    # 16 line events; a step per block of four would take about 10,000.
+    rng = random.Random(41)
+    w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
+    project(w)  # every block and pair image is made on first use, so make them first
+    assert _line_events(project, w) <= 8_000
 
 
 def test_the_cyclic_core_costs_a_few_steps_however_many_ends_cancel():

@@ -1,8 +1,9 @@
 """The block projection and the run-wise matrix, swept over words made of
 runs: long runs, runs of 1 to 12 letters at every offset from a block
-edge, runs that cancel earlier runs, the empty word, single letters and
-the periodic family s1^m s2^-1 under random conjugators all give what the
-letter-by-letter references give."""
+edge, pieces at every offset from a pair of blocks, blocks whose images
+are empty or cancel whole, runs that cancel earlier runs, the empty word,
+single letters and the periodic family s1^m s2^-1 under random
+conjugators all give what the letter-by-letter references give."""
 
 import pytest
 
@@ -50,6 +51,31 @@ def block_words(draw):
         suffix = letters[len(letters) - cut:]
         letters += draw(short_words).letters + tuple(-letter for letter in reversed(suffix))
     return BraidWord(letters)
+
+
+# pieces that meet at pair edges: blocks whose images are empty or cancel
+# whole, long runs, random letters; after 0 to 7 letters that shift them
+# against the pairs of blocks
+blocks = st.tuples(*[st.sampled_from(LETTERS)] * 4)
+pieces = st.one_of(
+    st.just((1, -1, 2, -2)),
+    blocks.map(lambda block: block + tuple(-letter for letter in reversed(block))),
+    st.tuples(st.sampled_from(LETTERS), st.integers(min_value=8, max_value=20)).map(lambda run: (run[0],) * run[1]),
+    st.lists(st.sampled_from(LETTERS), min_size=1, max_size=9).map(tuple),
+)
+
+
+@st.composite
+def pair_words(draw):
+    """An offset of 0 to 7 letters, then pieces, then 0 to 7 letters."""
+    offset = draw(st.lists(st.sampled_from(LETTERS), max_size=7))
+    tail = draw(st.lists(st.sampled_from(LETTERS), max_size=7))
+    return BraidWord(tuple(offset) + sum(draw(st.lists(pieces, max_size=8)), ()) + tuple(tail))
+
+
+@hypothesis.given(pair_words())
+def test_pairs_of_blocks_match_the_letter_by_letter_reference(w):
+    assert project(w) == old_project(w)
 
 
 @hypothesis.given(block_words())

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,7 @@ from gofknots.words import (
     standard_form,
 )
 
-from oracles import free_reduce, old_parse_braid, scramble
+from oracles import free_reduce, old_parse_braid, old_represent, scramble
 
 
 class TestParseFormat:
@@ -251,6 +252,33 @@ class TestBraidWord:
         assert hash(twin) == hash(word)
         assert twin.letter_bytes == word.letter_bytes
         assert project(twin) == project(word)
+
+    def test_a_parsed_word_keeps_one_byte_per_letter(self):
+        # The letter bytes are the word's one copy of its letters; a tuple
+        # of ints beside them would keep 8 more bytes per letter.
+        text = " ".join(["a", "B"] * 500_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            word = parse_braid(text)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(word) == 1_000_000
+        assert kept <= 1.1 * len(word)
+
+    def test_letters_are_unpacked_from_the_bytes_on_each_read(self):
+        word = parse_braid("a A b B s1^3 s2^-2")
+        assert word.letters == (1, -1, 2, -2, 1, 1, 1, -2, -2)
+        assert word.letters == word.letters and word.letters is not word.letters
+        assert BraidWord.letters == ()  # the field's default
+        assert vars(word) == {}
+        rng = random.Random(83)
+        for _ in range(200):
+            runs = [(rng.choice((1, -1, 2, -2)), rng.choice((1, 2, 5, 40))) for _ in range(rng.randrange(9))]
+            word = BraidWord(tuple(letter for letter, count in runs for _ in range(count)))
+            assert represent(word) == old_represent(word)
+            assert represent(parse_braid(str(word))) == old_represent(word)
 
     def test_len_and_str(self):
         word = parse_braid("a B a")
