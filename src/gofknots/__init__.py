@@ -4,8 +4,8 @@ one, genus one fibered knots in lens spaces.
 The package is organised in five layers:
 
 ``gofknots.words``
-    Braid words in the three-strand braid group as immutable tuples of
-    signed generator indices, with parsing, formatting and the word
+    Braid words in the three-strand braid group, each stored once as
+    immutable signed letter bytes, with parsing, formatting and the word
     families the classification is built from.
 
 ``gofknots.burau``
@@ -16,8 +16,9 @@ The package is organised in five layers:
 
 ``gofknots.modular``
     The quotient of the braid group by its centre, presented as the free
-    product of a two-element and a three-element cyclic group.  Cyclic
-    normal forms in this quotient decide conjugacy of braids exactly.
+    product of a two-element and a three-element cyclic group.  Reduced
+    and cyclically reduced words in this quotient, with the exponent sum,
+    decide equality and conjugacy of braids exactly.
 
 ``gofknots.twobridge``
     Two-bridge link normal forms ``b(alpha, beta)``, Conway notation,

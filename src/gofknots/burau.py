@@ -1,11 +1,10 @@
 """Integral 2x2 matrix images of three-strand braids.
 
 The generator images used here send the squared half-twist to minus the
-identity, so the matrix determines a braid up to the center and the pair
-(matrix, exponent sum) determines it exactly.  The matrix also carries the
-first homology of the double branched cover of the braid closure:
-|det(M - I)| is the order of that group, with 0 standing for an infinite
-group.  All arithmetic is exact over unbounded integers.
+identity.  The matrix carries the first homology of the double branched
+cover of the braid closure: |det(M - I)| is the order of that group, with
+0 standing for an infinite group.  All arithmetic is exact over unbounded
+integers.  Braid identity is decided in ``modular``, not here.
 
 A word is read as maximal runs of one letter (``words.run_ends``).  The
 closed forms s1^e -> [[1, e], [0, 1]] and s2^e -> [[1, 0], [-e, 1]] make
@@ -16,12 +15,11 @@ product, so no matrix is built and no Python step is taken per letter.
 from __future__ import annotations
 
 from ._record import Record
-from .words import BraidWord, exponent_sum, run_ends
+from .words import BraidWord, run_ends
 
 __all__ = [
     "SL2Matrix",
     "classify_monodromy",
-    "equal_in_b3",
     "homology_order",
     "represent",
     "trace",
@@ -109,12 +107,3 @@ def classify_monodromy(w: BraidWord) -> str:
         return "reducible"
     return "periodic"
 
-
-def equal_in_b3(u: BraidWord, v: BraidWord) -> bool:
-    """Exact equality of braids.
-
-    The matrix alone misses only central powers, and those shift the
-    exponent sum by a nonzero multiple of twelve, so the pair decides
-    equality.
-    """
-    return exponent_sum(u) == exponent_sum(v) and represent(u) == represent(v)

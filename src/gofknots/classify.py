@@ -242,7 +242,8 @@ def table_cells(k_values: Iterable[int], n_values: Iterable[int]) -> Iterator[Cl
     even k, or a word past the letter budget) is raised before any cell
     is classified.
     """
-    ks, ns = sorted(set(k_values)), sorted(set(n_values))
+    # a range of positive step is sorted with no repeats, and may be too wide to copy
+    ks, ns = (v if isinstance(v, range) and v.step > 0 else sorted(set(v)) for v in (k_values, n_values))
     if ns:
         for k in ks:
             _require_odd(k)

@@ -23,7 +23,7 @@ import sys
 from collections.abc import Sequence
 
 from . import __version__
-from .burau import equal_in_b3, homology_order, represent
+from .burau import homology_order, represent
 from .classify import (
     ClassificationResult,
     Witness,
@@ -32,7 +32,7 @@ from .classify import (
     paper_checks,
     table_cells,
 )
-from .modular import are_conjugate, cyclic_normal_form, project
+from .modular import are_conjugate, cyclic_normal_form, equal_in_b3, project
 from .twobridge import (
     LensSpace,
     TwoBridgeForm,

@@ -1,12 +1,14 @@
-"""Conjugacy decisions through the central quotient of the braid group.
+"""Equality and conjugacy of braids through the central quotient.
 
 The quotient of the three-strand braid group by its center is the free
 product of cyclic groups of orders two and three.  Its elements have a
 unique reduced syllable form over the torsion generators X (order two) and
 Y, Y^2 (order three), and two elements of infinite order are conjugate
 exactly when their cyclically reduced syllable words agree up to rotation.
-Together with the exponent sum, which separates the central powers the
-quotient forgets, this decides conjugacy of braids exactly.
+The kernel is the center <h>, h = (s1 s2)^3, and h^m has exponent sum 6m,
+so the exponent sum separates the central powers the quotient forgets:
+with it, equal images decide equality of braids exactly, and conjugate
+images conjugacy.
 
 Every step is linear in the word length, and a syllable word is one
 ``bytes`` object from projection to the rotation test.  Projection reads
@@ -39,6 +41,7 @@ __all__ = [
     "Y2",
     "are_conjugate",
     "cyclic_normal_form",
+    "equal_in_b3",
     "project",
 ]
 
@@ -307,3 +310,9 @@ def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     a = _cyclic_core(_reduce(u.letter_bytes))
     b = _cyclic_core(_reduce(v.letter_bytes))
     return len(a) == len(b) and b in a + a
+
+
+def equal_in_b3(u: BraidWord, v: BraidWord) -> bool:
+    """Exact equality of braids: equal exponent sums and equal reduced
+    images in the quotient, compared as bytes with no record built."""
+    return exponent_sum(u) == exponent_sum(v) and _reduce(u.letter_bytes) == _reduce(v.letter_bytes)

@@ -4,6 +4,8 @@ generators of their test words.
 None is used by the library: ``psl_matrix`` multiplies a second image
 table over the quotient syllables, ``find_conjugator_brute`` searches
 conjugators exhaustively instead of deciding conjugacy in the quotient,
+``matrix_equal_in_b3`` compares matrices and exponent sums instead of
+deciding equality in the quotient,
 ``two_sign_candidate_pq`` solves the candidate quadratic for both signs of
 the homology order instead of the signed trace, ``table_label`` writes
 the theorem's labels out by cell instead of reading them off the witness,
@@ -89,6 +91,17 @@ def find_conjugator_brute(u: BraidWord, v: BraidWord, max_len: int) -> Optional[
         if found is not None:
             return BraidWord(found)
     return None
+
+
+def matrix_equal_in_b3(u: BraidWord, v: BraidWord) -> bool:
+    """The earlier matrix decision of braid equality, kept verbatim as a
+    reference.
+
+    The matrix alone misses only central powers, and those shift the
+    exponent sum by a nonzero multiple of twelve, so the pair decides
+    equality.
+    """
+    return exponent_sum(u) == exponent_sum(v) and represent(u) == represent(v)
 
 
 def two_sign_candidate_pq(w: BraidWord) -> list[tuple[int, int]]:

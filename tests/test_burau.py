@@ -8,11 +8,11 @@ from gofknots import burau
 from gofknots.burau import (
     SL2Matrix,
     classify_monodromy,
-    equal_in_b3,
     homology_order,
     represent,
     trace,
 )
+from gofknots.modular import equal_in_b3
 from gofknots.words import (
     BraidWord,
     beta,

@@ -1,11 +1,12 @@
 """The classification driver: candidates, closures, labels, check battery."""
 
 import random
+import tracemalloc
 
 import pytest
 
 from gofknots import classify, words
-from gofknots.burau import equal_in_b3, homology_order, trace
+from gofknots.burau import homology_order, trace
 from gofknots.classify import (
     ExceptionL72,
     HopfPlumbing,
@@ -19,7 +20,7 @@ from gofknots.classify import (
     table_cells,
 )
 from gofknots.cli import result_to_record
-from gofknots.modular import _cyclic_core, are_conjugate, project
+from gofknots.modular import _cyclic_core, are_conjugate, equal_in_b3, project
 from gofknots.twobridge import (
     TwoBridgeForm,
     lens_space,
@@ -36,7 +37,7 @@ from gofknots.words import (
     parse_braid,
     standard_form,
 )
-from oracles import table_label, two_sign_candidate_pq
+from oracles import matrix_equal_in_b3, table_label, two_sign_candidate_pq
 
 
 def acceptance_grid():
@@ -317,6 +318,10 @@ class TestMirrorPassIsRedundant:
                     conjugate_by(mirror(standard_form(p, q)), s1_squared),
                     standard_form(-p - 1, -q - 1),
                 ), (p, q)
+                assert matrix_equal_in_b3(
+                    conjugate_by(mirror(standard_form(p, q)), s1_squared),
+                    standard_form(-p - 1, -q - 1),
+                ), (p, q)
 
     def test_matches_two_sided_reference_on_acceptance_grid(self):
         for k in range(-9, 10, 2):
@@ -446,6 +451,17 @@ class TestScanTable:
         with pytest.raises(ValueError, match=r"^beta\(3, -32\) has 41 letters, more than 40$"):
             table_cells([3], range(-32, 33))
         assert list(table_cells([2], [])) == []
+
+    def test_a_wide_range_is_refused_without_copying_it(self):
+        # 2,000,001 values of n: a sorted set of them peaked at 147.9 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"^beta\(3333333, -1000000\) has 10999999 letters, more than 10000000$"):
+                table_cells([3333333], range(-1_000_000, 1_000_001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
 
 
 class TestCheckBattery:

@@ -287,6 +287,23 @@ class TestTableCommand:
     def test_a_bad_grid_prints_nothing(self, args, message, fmt):
         assert run_cli("table", *args, "--format", fmt) == (2, "", f"error: {message}\n")
 
+    def test_a_wide_range_is_refused_in_bounded_memory(self):
+        # 40,000,001 values of n; the address space is capped at 800 MB, in
+        # which a sorted set of them ran out of memory
+        resource = pytest.importorskip("resource")
+        cap = 800 * 2**20
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "gofknots.cli", "table", "--k=1", "--n=-20000000..20000000"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        message = "error: beta(1, -20000000) has 20000003 letters, more than 10000000\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", message)
+
     # 4,001 and 1,001 cells: holding every record before printing peaked at
     # 35.7 MB and 7.7 MB; tracemalloc makes the larger grid take seconds
     @pytest.mark.parametrize("fmt, n", [("tsv", "--n=-2000..2000"), ("json", "--n=-500..500")])

@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from gofknots.burau import equal_in_b3, represent
+from gofknots.burau import represent
 from gofknots.modular import (
     X,
     Y,
@@ -14,6 +14,7 @@ from gofknots.modular import (
     _cyclic_core,
     are_conjugate,
     cyclic_normal_form,
+    equal_in_b3,
     project,
 )
 from gofknots.words import (
@@ -27,7 +28,14 @@ from gofknots.words import (
     standard_form,
 )
 
-from oracles import find_conjugator_brute, old_cyclic_core, old_project, psl_matrix, scramble
+from oracles import (
+    find_conjugator_brute,
+    matrix_equal_in_b3,
+    old_cyclic_core,
+    old_project,
+    psl_matrix,
+    scramble,
+)
 
 
 def random_word(rng, max_len=30):
@@ -321,6 +329,7 @@ class TestFindConjugatorBrute:
         assert g is not None
         assert g.letters == (1, -2)
         assert equal_in_b3(conjugate_by(beta(-3, 3), g), beta(-1, -3))
+        assert matrix_equal_in_b3(conjugate_by(beta(-3, 3), g), beta(-1, -3))
 
     def test_identity_conjugator(self):
         word = parse_braid("a b")
@@ -337,6 +346,7 @@ class TestFindConjugatorBrute:
         found = find_conjugator_brute(u, v, 2)
         assert found is not None
         assert equal_in_b3(conjugate_by(u, found), v)
+        assert matrix_equal_in_b3(conjugate_by(u, found), v)
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -351,3 +361,30 @@ class TestFindConjugatorBrute:
             if found is not None:
                 assert are_conjugate(u, v)
                 assert equal_in_b3(conjugate_by(u, found), v)
+                assert matrix_equal_in_b3(conjugate_by(u, found), v)
+
+
+# Blocks that keep a braid: the relator s1 s2 s1 (s2 s1 s2)^-1 and two
+# cancelling pairs.  Blocks that change it: the central h = (s1 s2)^3, whose
+# matrix is minus the identity, and h^2, whose matrix is the identity.
+RELATORS = ((1, 2, 1, -2, -1, -2), (1, -1), (2, -2))
+CENTRAL_WORDS = ((1, 2) * 3, (1, 2) * 6)
+
+
+class TestEqualInB3:
+    def test_agrees_with_the_matrix_decision_on_random_pairs(self):
+        # pairs of up to 12 letters; a third of them one word with a block
+        # inserted, so both verdicts are common
+        rng = random.Random(61)
+        equal = 0
+        for trial in range(20_000):
+            u = random_word(rng, 13)
+            if trial % 3:
+                v = random_word(rng, 13)
+            else:
+                at = rng.randrange(len(u) + 1)
+                v = BraidWord(u.letters[:at] + rng.choice(RELATORS + CENTRAL_WORDS) + u.letters[at:])
+            verdict = equal_in_b3(u, v)
+            assert verdict == matrix_equal_in_b3(u, v), (u, v)
+            equal += verdict
+        assert 1_000 < equal < 19_000, equal

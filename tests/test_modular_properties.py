@@ -1,8 +1,8 @@
 """The central quotient, swept over random words: the cyclic normal form is
 a conjugacy invariant, the conjugacy decision accepts every conjugate and
 is symmetric, projected words are bytes and rebuild unchanged from any
-sequence type, and the bisected cyclic core agrees with the pair-by-pair
-reference."""
+sequence type, the bisected cyclic core agrees with the pair-by-pair
+reference, and equality in the quotient agrees with the matrix decision."""
 
 import pytest
 
@@ -17,11 +17,12 @@ from gofknots.modular import (  # noqa: E402
     _cyclic_core,
     are_conjugate,
     cyclic_normal_form,
+    equal_in_b3,
     project,
 )
 from gofknots.words import BraidWord, conjugate_by  # noqa: E402
 
-from oracles import old_cyclic_core  # noqa: E402
+from oracles import matrix_equal_in_b3, old_cyclic_core  # noqa: E402
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(tuple(letters))
@@ -78,3 +79,16 @@ def test_the_core_of_a_conjugate_agrees_with_the_reference(w, g):
 def test_the_core_of_a_reduced_word_agrees_with_the_reference(syllables):
     FreeProductWord(syllables)  # reduced
     assert _cyclic_core(syllables) == old_cyclic_core(syllables)
+
+
+# the empty block, the relator s1 s2 s1 (s2 s1 s2)^-1, two cancelling pairs,
+# and the central words (s1 s2)^3 and (s1 s2)^6
+blocks = st.sampled_from(((), (1, 2, 1, -2, -1, -2), (1, -1), (2, -2), (1, 2) * 3, (1, 2) * 6))
+
+
+@hypothesis.given(words, words, blocks, st.integers(min_value=0, max_value=30))
+def test_equality_agrees_with_the_matrix_decision(u, v, block, at):
+    at %= len(u) + 1
+    padded = BraidWord(u.letters[:at] + block + u.letters[at:])
+    assert equal_in_b3(u, v) == matrix_equal_in_b3(u, v)
+    assert equal_in_b3(u, padded) == matrix_equal_in_b3(u, padded)

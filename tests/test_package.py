@@ -37,8 +37,20 @@ def test_modular_binds_nothing_from_burau():
     assert borrowed == []
 
 
+def test_burau_binds_nothing_from_modular():
+    # the matrices decide no braid identity, so the matrix oracles of the
+    # tests stay independent of the quotient
+    borrowed = [
+        name
+        for name, value in vars(burau).items()
+        if getattr(value, "__module__", None) == modular.__name__
+    ]
+    assert borrowed == []
+    assert not hasattr(burau, "equal_in_b3")
+
+
 def test_test_oracles_are_not_exported():
-    for name in ("find_conjugator_brute", "psl_matrix"):
+    for name in ("find_conjugator_brute", "matrix_equal_in_b3", "psl_matrix"):
         assert name not in gofknots.__all__
         assert not hasattr(gofknots, name)
 

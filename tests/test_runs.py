@@ -17,7 +17,7 @@ import pytest
 
 from gofknots import modular
 from gofknots.burau import represent
-from gofknots.modular import FreeProductWord, _cyclic_core, are_conjugate, project
+from gofknots.modular import FreeProductWord, _cyclic_core, are_conjugate, equal_in_b3, project
 from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
 
 from oracles import old_project, old_represent
@@ -277,6 +277,15 @@ def test_a_random_word_costs_one_step_per_eight_letters():
     w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
     project(w)  # every block and pair image is made on first use, so make them first
     assert _line_events(project, w) <= 8_000
+
+
+def test_equality_costs_two_projections_and_no_matrix():
+    # Two projections of some 5,800 line events each; comparing matrices
+    # took a step per run of the word, 41,849 line events here.
+    rng = random.Random(41)
+    w = BraidWord(tuple(rng.choice(LETTERS) for _ in range(4000)))
+    project(w)  # every block and pair image is made on first use, so make them first
+    assert _line_events(lambda word: equal_in_b3(word, word), w) <= 16_000
 
 
 def test_the_cyclic_core_costs_a_few_steps_however_many_ends_cancel():

@@ -9,9 +9,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from gofknots.burau import equal_in_b3  # noqa: E402
 from gofknots.classify import is_two_bridge_closure  # noqa: E402
-from gofknots.modular import are_conjugate  # noqa: E402
+from gofknots.modular import are_conjugate, equal_in_b3  # noqa: E402
 from gofknots.words import (  # noqa: E402
     BraidWord,
     concat,
@@ -23,7 +22,14 @@ from gofknots.words import (  # noqa: E402
     standard_form,
 )
 
-from oracles import old_format_braid, old_inverse, old_mirror, old_parse_braid, scramble  # noqa: E402
+from oracles import (  # noqa: E402
+    matrix_equal_in_b3,
+    old_format_braid,
+    old_inverse,
+    old_mirror,
+    old_parse_braid,
+    scramble,
+)
 
 words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=30).map(
     lambda letters: BraidWord(tuple(letters))
@@ -56,6 +62,7 @@ def test_parse_then_format_keeps_every_letter(parts):
 def test_scramble_keeps_the_braid_and_its_class(w, seed, steps):
     scrambled = scramble(w, seed, steps)
     assert equal_in_b3(scrambled, w)
+    assert matrix_equal_in_b3(scrambled, w)
     assert are_conjugate(scrambled, w)
 
 
