@@ -22,7 +22,7 @@ off the two-bridge witness.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from ._record import Record
 from .burau import trace
@@ -247,9 +247,38 @@ def table_cells(k_values: Iterable[int], n_values: Iterable[int]) -> Iterator[Cl
     if ns:
         for k in ks:
             _require_odd(k)
-            for n in ns:
-                check_beta(k, n)
+            _check_row(k, ns)
     return (classify_gof(k, n) for k in ks for n in ns)
+
+
+def _check_row(k: int, ns: Sequence[int]) -> None:
+    """Raise check_beta's error at the first refused cell of the sorted row.
+
+    3|k| + |n| is largest at an end of the row, so a row whose ends pass
+    passes.  Past a passing first cell the refused cells are the n beyond
+    the budget, a suffix whose first index is found by doubling, then
+    bisection: O(log |ns|) checks.  The row is indexed, never measured,
+    since len() overflows on a range wider than sys.maxsize.
+    """
+    check_beta(k, ns[0])
+    if _passes(k, ns, -1):
+        return
+    good, stop = 0, 1
+    while _passes(k, ns, stop):
+        good, stop = stop, 2 * stop
+    while stop - good > 1:
+        mid = (good + stop) // 2
+        good, stop = (mid, stop) if _passes(k, ns, mid) else (good, mid)
+    check_beta(k, ns[stop])
+
+
+def _passes(k: int, ns: Sequence[int], i: int) -> bool:
+    """Whether the row has a cell i and check_beta accepts it."""
+    try:
+        check_beta(k, ns[i])
+    except (IndexError, ValueError):
+        return False
+    return True
 
 
 def scan_table(k_values: Iterable[int], n_values: Iterable[int]) -> list[ClassificationResult]:

@@ -18,6 +18,8 @@ equals form, e.g. ``--k=-3,-1``.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 from collections.abc import Sequence
@@ -330,6 +332,10 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def app() -> None:
+    # At exit, move every tracked object to the permanent generation, so the
+    # interpreter's final collections skip the module graph; the OS reclaims
+    # it.  Unlike os._exit, atexit hooks, finally blocks and flushes still run.
+    atexit.register(gc.freeze)
     try:
         status = main()
         sys.stdout.flush()

@@ -21,7 +21,8 @@ the library converts each stretch of single letters in one call.
 ``old_format_braid``, ``old_inverse`` and ``old_mirror`` build a word
 letter by letter, where the library translates its letter bytes, and
 ``old_cyclic_core`` strips one pair of ends per step, where the library
-bisects for the pairs that cancel.  ``scramble``
+bisects for the pairs that cancel.  ``old_check_grid`` checks every cell
+of a grid, where the library checks each row from its ends.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
@@ -375,6 +376,18 @@ def old_cyclic_core(data: bytes) -> bytes:
         if merged:
             return data[first:last + 1] + bytes((merged,))
     return data[first:last + 1]
+
+
+def old_check_grid(k_values, n_values) -> None:
+    """The earlier grid check of ``table_cells``, one ``check_beta`` per
+    cell in k-then-n order, kept as a reference."""
+    ks, ns = sorted(set(k_values)), sorted(set(n_values))
+    if ns:
+        for k in ks:
+            if k % 2 == 0:
+                raise ValueError(f"k must be odd, got {k}")
+            for n in ns:
+                words.check_beta(k, n)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

@@ -37,7 +37,7 @@ from gofknots.words import (
     parse_braid,
     standard_form,
 )
-from oracles import matrix_equal_in_b3, table_label, two_sign_candidate_pq
+from oracles import matrix_equal_in_b3, old_check_grid, table_label, two_sign_candidate_pq
 
 
 def acceptance_grid():
@@ -462,6 +462,57 @@ class TestScanTable:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20, peak
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            range(-1_000_000, 2_000_001),
+            sorted(random.Random(24).sample(range(-1_000_000, 2_000_000), 100_000) + [1_000_004, 1_500_000]),
+        ],
+        ids=["range", "list"],
+    )
+    def test_a_row_is_checked_from_its_ends(self, monkeypatch, row):
+        # k = 1 passes the whole row; on the k = 2999999 row, 8999997 + |n|
+        # passes the budget from n = 1000004 on, the first bad cell of the grid
+        calls = []
+        monkeypatch.setattr(classify, "check_beta", lambda k, n: calls.append(k) or words.check_beta(k, n))
+        monkeypatch.setattr(classify, "classify_gof", lambda k, n: pytest.fail("a cell was classified"))
+        message = r"^beta\(2999999, 1000004\) has 10000001 letters, more than 10000000$"
+        with pytest.raises(ValueError, match=message):
+            table_cells([1, 2999999, 3000001], row)
+        assert calls.count(1) == 2
+        assert calls.count(2999999) <= 2 * len(row).bit_length() + 3, calls.count(2999999)
+        assert 3000001 not in calls
+
+    def test_a_row_wider_than_sys_maxsize_is_refused(self):
+        # len() of this range overflows; the first bad cell is still found
+        with pytest.raises(ValueError, match=r"^beta\(1, 9999998\) has 10000001 letters, more than 10000000$"):
+            table_cells([1], range(0, 10**20))
+
+    def test_grid_checks_agree_with_the_cell_by_cell_reference(self, monkeypatch):
+        monkeypatch.setattr(words, "_MAX_LETTERS", 30)
+        rng = random.Random(2024)
+        refusals = 0
+        for _ in range(5_000):
+            ks = [rng.randrange(-13, 14) for _ in range(rng.randrange(4))]
+            if rng.random() < 0.5:
+                start = rng.randrange(-60, 60)
+                ns = range(start, start + rng.randrange(90), rng.randrange(1, 4))
+            else:
+                ns = [rng.randrange(-60, 60) for _ in range(rng.randrange(30))]
+            try:
+                old_check_grid(ks, ns)
+                expected = None
+            except ValueError as exc:
+                expected = str(exc)
+                refusals += 1
+            try:
+                table_cells(ks, ns)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (ks, ns)
+        assert 1_000 < refusals < 4_000, refusals
 
 
 class TestCheckBattery:

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import atexit
 import contextlib
+import gc
 import io
 import json
 import os
@@ -600,6 +602,42 @@ class TestEntryPoints:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("--version")
         assert excinfo.value.code == 0
+
+    @pytest.mark.parametrize("argv, code", [(["det", "b a b a"], 0), (["--help"], 0), (["det"], 2)])
+    def test_app_freezes_the_collector_only_at_exit(self, monkeypatch, argv, code):
+        hooks = []
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        monkeypatch.setattr(sys, "argv", ["gofknots", *argv])
+        frozen = gc.get_freeze_count()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            with pytest.raises(SystemExit) as excinfo:
+                app()
+        assert excinfo.value.code == code
+        assert hooks == [gc.freeze]
+        assert gc.get_freeze_count() == frozen
+
+    def test_a_process_running_the_cli_keeps_its_finally_and_its_hooks(self):
+        # a probe that runs the CLI as ``-m`` does and reads its own state in
+        # a finally block and an atexit hook; hooks run last registered
+        # first, so the probe's hook runs after the CLI's gc.freeze
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: print('hook: frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+            "try:\n"
+            "    runpy.run_module('gofknots.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    print('finally', file=sys.stderr)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "classify", "-3", "5"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        stdout = run_cli("classify", "-3", "5")[1]
+        assert (done.returncode, done.stdout, done.stderr) == (0, stdout, "finally\nhook: frozen True\n")
 
     def test_a_closed_stdout_exits_141_quietly(self):
         # the reader stops after 10 of some 2 MB, as ``| head -c 10`` does
