@@ -102,7 +102,12 @@ class ClassificationResult(Record):
 
 
 def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
-    """All (p, q) that could make standard_form(p, q) conjugate to ``w``.
+    """All (p, q) that could make standard_form(p, q) conjugate to ``w``."""
+    return _pairs(exponent_sum(w), trace(w))
+
+
+def _pairs(e: int, tr: int) -> list[tuple[int, int]]:
+    """The (p, q) whose standard form has exponent sum e and trace tr.
 
     Conjugacy keeps the exponent sum e and the trace of the matrix, and
     2 - tr represent(standard_form(p, q)) = 2pq + p + q, so p and q are the
@@ -110,8 +115,8 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
     Both orders are returned, larger root first, once if the roots are
     equal: at most two candidates, a superset of every match.
     """
-    sigma = exponent_sum(w) - 1
-    doubled = 2 - trace(w) - sigma
+    sigma = e - 1
+    doubled = 2 - tr - sigma
     disc = sigma * sigma - 2 * doubled
     root = math.isqrt(max(disc, 0))
     if doubled % 2 or root * root != disc:
@@ -120,8 +125,8 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
     return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 
-def _witness(w: BraidWord) -> tuple[Witness | None, TwoBridgeForm | None]:
-    """The first candidate (p, q) whose standard form is conjugate to
+def _witness(w: BraidWord, pairs: Iterable[Witness]) -> tuple[Witness | None, TwoBridgeForm | None]:
+    """The first (p, q) of ``pairs`` whose standard form is conjugate to
     ``w``, with its closure b(2pq+p+q, 2q+1); (None, None) without one.
 
     The form is None when 2pq+p+q = 0: homology order zero, the
@@ -151,7 +156,7 @@ def _witness(w: BraidWord) -> tuple[Witness | None, TwoBridgeForm | None]:
     |p| + |q| <= 5, where the bound is not positive.
     """
     bound = len(w) + 5
-    for p, q in candidate_pq(w):
+    for p, q in pairs:
         if abs(p) + abs(q) <= bound and are_conjugate(w, standard_form(p, q)):
             alpha = 2 * p * q + p + q
             return (p, q), normalize_two_bridge(alpha, 2 * q + 1) if alpha else None
@@ -161,7 +166,7 @@ def _witness(w: BraidWord) -> tuple[Witness | None, TwoBridgeForm | None]:
 def is_two_bridge_closure(w: BraidWord) -> tuple[TwoBridgeForm, Witness] | None:
     """Decide whether the closure of ``w`` is a two-bridge link: its form
     and witness (p, q), or None for no witness or an unlink witness."""
-    witness, form = _witness(w)
+    witness, form = _witness(w, candidate_pq(w))
     return None if form is None else (form, witness)
 
 
@@ -172,7 +177,12 @@ def classify_gof(k: int, n: int) -> ClassificationResult:
     have a witness but no form, and their record shows neither."""
     _require_odd(k)
     word = beta(k, n)
-    witness, form = _witness(word)
+    # The cell's exponent sum is 3k + n, and its trace has a closed form:
+    # represent(s2 s1 s2) = S = [[0, 1], [-1, 0]] and S^2 = -I, so for odd k,
+    # beta(k, n) maps to S^k [[1, n], [0, 1]] = eps S [[1, n], [0, 1]] = eps C_n,
+    # C_n = [[0, 1], [-1, -n]], eps = (-1)^((k-1)/2): trace -eps n.
+    eps = 1 if k % 4 == 1 else -1
+    witness, form = _witness(word, _pairs(3 * k + n, -eps * n))
     space = None if form is None else lens_space_of(form)
     label = _NOT_LENS_SPACE if witness is None else _label_for(k, witness, space)
     return ClassificationResult(
@@ -320,24 +330,19 @@ def paper_checks() -> tuple[list[CheckResult], list[CheckResult]]:
     (k, n), the exceptional rows +-(-3,5) against the plumbing rows
     beta(+-1, n'), and their lens spaces against the plumbing ones.
     Conjugate braids have equal exponent sums and beta(eps, n') has
-    3 eps + n', so n' = e - 3 eps is the one row that could match.
-    L(n+-2, 1) has order |n+-2|, which is 7 only at n in {5, -9} for the +
-    sign and n in {9, -5} for the - sign, so checking those four spaces
-    settles every n; the name keeps the range [-40,40] that the benchmark
-    and the README print.
+    3 eps + n', so n' = 3k + n - 3 eps is the one row that could match.
+    L(n+2eps, 1) has order |n+2eps|, which is 7 only at n = +-7 - 2eps,
+    so checking those four spaces settles every n; the name keeps the
+    range [-40,40] that the benchmark and the README print.
     """
     case_rows = []
     for case, k, n, (p, q), expected in _CASE_ROWS:
-        word = beta(k, n)
-        computed = any(
-            are_conjugate(word, standard_form(x, y)) for x, y in ((p, q), (q, p))
-        )
+        witness, _ = _witness(beta(k, n), ((p, q), (q, p)))
         name = f"case {case}: beta({k},{n}) vs standard form on {{{p},{q}}}"
-        case_rows.append(CheckResult(name, expected, computed))
+        case_rows.append(CheckResult(name, expected, witness is not None))
     pairs = [((-3, 3), (-1, -3), True), ((3, -3), (1, 3), True)]
     for k, n in ((-3, 5), (3, -5)):
-        e = exponent_sum(beta(k, n))
-        pairs += [((k, n), (eps, e - 3 * eps), False) for eps in (1, -1)]
+        pairs += [((k, n), (eps, 3 * k + n - 3 * eps), False) for eps in (1, -1)]
     additional = []
     for (k1, n1), (k2, n2), expected in pairs:
         computed = are_conjugate(beta(k1, n1), beta(k2, n2))
@@ -345,7 +350,7 @@ def paper_checks() -> tuple[list[CheckResult], list[CheckResult]]:
     for exceptional in (lens_space(7, 2), lens_space(7, -2)):
         separated = not any(
             lens_equiv(exceptional, lens_space(n + 2 * eps, 1), oriented=False)
-            for n, eps in ((5, 1), (-9, 1), (9, -1), (-5, -1))
+            for eps in (1, -1) for n in (7 - 2 * eps, -7 - 2 * eps)
         )
         name = f"{exceptional} differs from every L(n+-2,1), n in [-40,40]"
         additional.append(CheckResult(name, True, separated))

@@ -287,7 +287,8 @@ def beta(k: int, n: int) -> BraidWord:
     """The braid (s2 s1 s2)^k s1^n, expanded letter by letter.
 
     Negative powers expand through inverse letters, so the length is
-    always 3|k| + |n| and the exponent sum 3k + n.
+    always 3|k| + |n| and the exponent sum 3k + n.  For odd k the trace
+    of its matrix is -eps n, eps = (-1)^((k-1)/2) (``classify_gof``).
     """
     check_beta(k, n)
     triple = b"\x02\x01\x02" if k >= 0 else b"\xfe\xff\xfe"

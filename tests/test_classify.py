@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from gofknots import classify, words
+from gofknots import burau, classify, words
 from gofknots.burau import homology_order, trace
 from gofknots.classify import (
     ExceptionL72,
@@ -399,6 +399,35 @@ class TestClassifyGof:
         assert "unlink" in result.description
 
 
+class TestCellClosedForm:
+    """classify_gof takes a cell's candidates from its closed-form exponent
+    sum 3k + n and trace -eps(k) n, not from a walk of the word."""
+
+    def test_no_matrix_is_built_for_a_cell(self, monkeypatch):
+        calls = []
+        walk = burau.represent
+        monkeypatch.setattr(burau, "represent", lambda w: calls.append(w) or walk(w))
+        assert is_two_bridge_closure(beta(-3, 5)) is not None
+        assert len(calls) == 1  # the counter sees the word path
+        calls.clear()
+        for k, n in ((-3, 5), (3, -5), (1, 3), (-1, 2), (5, -13), (5, 7), (-49, 200)):
+            classify_gof(k, n)
+        scan_table(range(-9, 10, 2), range(-30, 31))
+        assert calls == []
+
+    def test_cell_candidates_are_the_word_candidates_on_the_grid(self, monkeypatch):
+        # the 20,050 cells of k odd in [-49, 49], n in [-200, 200]
+        seen = []
+        witness = classify._witness
+        monkeypatch.setattr(
+            classify, "_witness", lambda w, pairs: seen.append((w, pairs)) or witness(w, pairs)
+        )
+        scan_table(range(-49, 50, 2), range(-200, 201))
+        assert len(seen) == 20_050
+        assert sum(1 for _, pairs in seen if pairs) == 1_196
+        assert [w for w, pairs in seen if pairs != candidate_pq(w)] == []
+
+
 class TestTheDecidersAgree:
     """A record's form and witness are the closure verdict of its word:
     classify_gof and is_two_bridge_closure read one witness search."""
@@ -533,6 +562,19 @@ class TestCheckBattery:
         results = paper_checks()[1][:2]
         assert [r.name for r in results] == ["beta(-3,3) ~ beta(-1,-3)", "beta(3,-3) ~ beta(1,3)"]
         assert all(r.expected and r.computed and r.ok for r in results)
+
+    def test_separation_compares_every_space_of_order_seven(self, monkeypatch):
+        # L(n+2eps, 1) for the n in [-40, 40] with |n + 2eps| = 7, once
+        # against each exceptional space
+        calls = []
+        monkeypatch.setattr(
+            classify, "lens_space", lambda p, q: calls.append((p, q)) or lens_space(p, q)
+        )
+        assert all(r.ok for r in paper_checks()[1])
+        solutions = [(n, eps) for n in range(-40, 41) for eps in (1, -1) if abs(n + 2 * eps) == 7]
+        assert sorted(solutions) == [(-9, 1), (-5, -1), (5, 1), (9, -1)]
+        plumbing = [(n + 2 * eps, 1) for n, eps in solutions]
+        assert sorted(calls) == sorted([(7, 2), (7, -2)] + 2 * plumbing)
 
     def test_exception_isolation(self):
         results = paper_checks()[1][2:]

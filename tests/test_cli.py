@@ -348,6 +348,13 @@ class TestTableCommand:
             run_cli("table", "--k=1", "--n=0-3")
         assert excinfo.value.code == 2
 
+    def test_non_integer_range_bound_is_a_usage_error(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as excinfo:
+            main(["table", "--k=1", "--n=1..x"])
+        assert excinfo.value.code == 2
+        assert "expected LO..HI, got '1..x'" in err.getvalue()
+
 
 class TestConwayCommand:
     def test_leading_negative_entry(self):

@@ -55,13 +55,19 @@ def test_test_oracles_are_not_exported():
         assert not hasattr(gofknots, name)
 
 
-def test_every_traced_function_is_public_in_its_layer():
-    # bench/spans.py raises KeyError in Tracer.report for a metric whose
-    # function is gone, which breaks the traced benchmark run
+def load_spans():
+    """bench/spans.py, the benchmark's table of per-layer metrics."""
     path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
     spec = importlib.util.spec_from_file_location("spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_function_is_public_in_its_layer():
+    # bench/spans.py raises KeyError in Tracer.report for a metric whose
+    # function is gone, which breaks the traced benchmark run
+    spans = load_spans()
     keys = {m.how.function for m in spans.METRICS if isinstance(m.how, spans.Within)}
     keys |= {
         m.name.rpartition(".")[0]
@@ -74,6 +80,17 @@ def test_every_traced_function_is_public_in_its_layer():
         layer, name = key.split(".")
         assert name in layers[layer].__all__, key
         assert name in dict(spans.public_functions(layers[layer])), key
+
+
+def test_the_syllable_metrics_read_the_length_of_a_free_product_word():
+    # FreeProductWord.__len__ has no caller in src/: bench/spans.py calls
+    # len() on the word project returns and on the one cyclic_normal_form
+    # takes, so the traced benchmark run needs it
+    how = {m.name: m.how for m in load_spans().METRICS}
+    fw = modular.project(words.parse_braid("a b A b B a a"))
+    assert len(fw) == len(fw.syllables) > 0
+    assert how["modular.project.syllables_out"].value((None,), fw) == len(fw)
+    assert how["modular.cyclic_normal_form.syllables"].value((fw,), None) == len(fw)
 
 
 def test_no_module_imports_a_private_name():

@@ -67,6 +67,8 @@ class TestEqualityAndHash:
         assert HopfPlumbing(1, 1) != (1, 1)
         assert TwoBridgeForm(5, 2).__eq__(LensSpace(5, 2)) is NotImplemented
         assert SL2Matrix(1, 0, 0, 1).__eq__((1, 0, 0, 1)) is NotImplemented
+        assert BraidWord((1, 2)) != (1, 2)
+        assert BraidWord((1, 2)).__eq__((1, 2)) is NotImplemented
 
     def test_subclass_instances_are_not_equal_to_the_base(self):
         class Sub(SL2Matrix):
