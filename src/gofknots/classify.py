@@ -7,10 +7,10 @@ the closure is b(2pq+p+q, 2q+1); the pair (p, q) is the witness.  Its
 mirror needs no test of its own: s1^2 mirror(standard_form(p, q)) s1^-2 =
 standard_form(-p-1, -q-1), so a braid whose mirror matches a standard form
 matches one itself.
-The exponent sum and the signed trace of a word fix p + q and 2pq + p + q,
-which leaves at most two (p, q) candidates, each settled by the exact
-conjugacy test, so the decision is a finite closed-form computation per
-word.
+The exponent sum and the signed trace of a word fix the sum and the
+product of the odd factors 2p+1 and 2q+1, which leaves at most two (p, q)
+candidates, each settled by the exact conjugacy test: a finite
+closed-form computation per word.
 
 For odd k, the lift of the braid axis of the closure of beta(k, n) is a
 genus-one fibered knot with tunnel number one in the double branched
@@ -109,19 +109,17 @@ def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
 def _pairs(e: int, tr: int) -> list[tuple[int, int]]:
     """The (p, q) whose standard form has exponent sum e and trace tr.
 
-    Conjugacy keeps the exponent sum e and the trace of the matrix, and
-    2 - tr represent(standard_form(p, q)) = 2pq + p + q, so p and q are the
-    roots of z^2 - sigma z + pi with sigma = e - 1 and 2 pi = 2 - tr - sigma.
-    Both orders are returned, larger root first, once if the roots are
-    equal: at most two candidates, a superset of every match.
+    Conjugacy keeps e = p + q + 1 and the trace, 2 - tr = 2pq + p + q for
+    standard_form(p, q).  So the odd factors 2p+1 and 2q+1 sum to 2e and
+    multiply to 5 - 2tr: they are e +- root, root^2 = e^2 + 2tr - 5, and
+    root^2 = e^2 + 1 mod 2 makes both odd.  Both orders are returned, larger
+    root first, once if equal: at most two candidates, a superset of every match.
     """
-    sigma = e - 1
-    doubled = 2 - tr - sigma
-    disc = sigma * sigma - 2 * doubled
+    disc = e * e + 2 * tr - 5
     root = math.isqrt(max(disc, 0))
-    if doubled % 2 or root * root != disc:
+    if root * root != disc:
         return []
-    high, low = (sigma + root) // 2, (sigma - root) // 2
+    high, low = (e + root - 1) // 2, (e - root - 1) // 2
     return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 

@@ -11,7 +11,6 @@ are evaluated as exact continued fractions in integers.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 from ._record import Record
 
@@ -144,20 +143,23 @@ def lens_equiv(a: LensSpace, b: LensSpace, oriented: bool = True) -> bool:
     return a == b or (not oriented and b == lens_space(a.p, -a.q_canonical))
 
 
-def _standard_pairs(a: TwoBridgeForm, shift: int) -> Iterator[tuple[int, int]]:
-    """The (p, q), p, q >= 1, with alpha - shift = p(2q+1) + q, where 2q+1
-    is an odd representative in (0, alpha) of +-beta^{+-1} mod alpha.
+def _standard_pairs(a: TwoBridgeForm, sign: int) -> set[tuple[int, int]]:
+    """The (p, q), 1 <= p <= q, with (2p+1)(2q+1) = 2 alpha + sign, sign =
+    +-1, and 2q+1 a representative of +-beta^{+-1} mod alpha.
 
-    There are at most four representatives, so at most four pairs.
+    Both factors are at least 3, so at most (2 alpha + 1)/3 < alpha, and
+    their product is sign mod alpha: if one is +-beta^-1, the other is
+    +-sign beta, so one is beta or alpha - beta, and then both represent
+    +-beta^{+-1}.  A factor 1 < c < alpha of the odd 2 alpha + sign is odd,
+    with a cofactor in (1, alpha); the residues 0 (the unknot) and 1 give
+    no pair.  The swapped pairs qualify too and are left out.
     """
-    alpha, beta = a.alpha, a.beta_canonical
-    inverse = pow(beta, -1, alpha)
-    for c in {beta, inverse, alpha - beta, alpha - inverse}:
-        if c % 2:
-            q = c // 2
-            p, rest = divmod(alpha - shift - q, c)
-            if rest == 0 and p >= 1 and q >= 1:
-                yield p, q
+    product = 2 * a.alpha + sign
+    return {
+        (min(c, product // c) // 2, max(c, product // c) // 2)
+        for c in (a.beta_canonical, a.alpha - a.beta_canonical)
+        if c > 1 and product % c == 0
+    }
 
 
 def murasugi_braid_index(a: TwoBridgeForm) -> int | None:
@@ -165,16 +167,16 @@ def murasugi_braid_index(a: TwoBridgeForm) -> int | None:
 
     The link has braid index 2 when 1 is an odd representative of the
     class, that is beta = +-1 mod alpha.  It has braid index 3 when an odd
-    representative c = 2q+1 satisfies alpha = p(2q+1) + q or
-    alpha - 1 = p(2q+1) + q for integers p, q >= 1; the first clause
-    certifies every closure of standard_form(p, q) with p, q >= 1,
-    boundary families such as b(7,2) included.
+    representative 2q+1 has (2p+1)(2q+1) = 2 alpha +- 1, that is alpha =
+    p(2q+1) + q or alpha - 1 = p(2q+1) + q, for integers p, q >= 1; the
+    first clause certifies every closure of standard_form(p, q) with
+    p, q >= 1, boundary families such as b(7,2) included.
     """
     if a.alpha == 1:
         return None  # the unknot has braid index 1
     if a.beta_canonical in (1, a.alpha - 1):
         return 2
-    if any(_standard_pairs(a, 0)) or any(_standard_pairs(a, 1)):
+    if _standard_pairs(a, 1) or _standard_pairs(a, -1):
         return 3
     return None
 
@@ -183,11 +185,11 @@ def stoimenow_form(a: TwoBridgeForm) -> ConwayTuple | None:
     """The least Conway tuple (p, 2, q), p, q >= 1, whose fraction
     normalizes to ``a`` or to its mirror, or None.
 
-    (p, 2, q) evaluates to (p(2q+1) + q)/(2q+1) in lowest terms, and
-    alpha = p(2q+1) + q > 2q+1, so 2q+1 is an odd representative in
-    (0, alpha) of +-beta^{+-1} mod alpha: the candidates are closed-form,
-    at most four.  Links whose only three-entry notations need negative
+    (p, 2, q) evaluates to (p(2q+1) + q)/(2q+1) in lowest terms, so
+    (2p+1)(2q+1) = 2 alpha + 1 and 2q+1 represents +-beta^{+-1} mod alpha:
+    the candidates are the factors beta and alpha - beta of 2 alpha + 1,
+    two residues.  Links whose only three-entry notations need negative
     entries, such as the figure-eight class b(5,2), have none.
     """
-    pair = min(_standard_pairs(a, 0), default=None)
+    pair = min(_standard_pairs(a, 1), default=None)
     return None if pair is None else (pair[0], 2, pair[1])

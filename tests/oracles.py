@@ -22,7 +22,11 @@ the library converts each stretch of single letters in one call.
 letter by letter, where the library translates its letter bytes, and
 ``old_cyclic_core`` strips one pair of ends per step, where the library
 bisects for the pairs that cancel.  ``old_check_grid`` checks every cell
-of a grid, where the library checks each row from its ends.  ``scramble``
+of a grid, where the library checks each row from its ends.
+``old_pairs`` solves the candidate quadratic in p and q with a parity
+test, where the library solves it in the odd factors 2p+1 and 2q+1, and
+``old_standard_pairs`` tries four residues and a modular inverse, where the
+library tries two residues by divisibility.  ``scramble``
 grows a word into a longer one equal to it in the braid group, and
 ``free_reduce`` cancels adjacent inverse pairs.
 """
@@ -32,13 +36,18 @@ import random
 import re
 from fractions import Fraction
 from itertools import groupby
-from typing import Optional
+from typing import Iterator, Optional
 
 from gofknots import words
 from gofknots.burau import SL2Matrix, homology_order, represent
 from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
 from gofknots.modular import X, Y, Y2, FreeProductWord
-from gofknots.twobridge import ConwayTuple, DegenerateNotationError, NotTwoBridgeLinkError
+from gofknots.twobridge import (
+    ConwayTuple,
+    DegenerateNotationError,
+    NotTwoBridgeLinkError,
+    TwoBridgeForm,
+)
 from gofknots.words import BraidParseError, BraidWord, exponent_sum
 
 _PSL_IMAGES = {
@@ -388,6 +397,43 @@ def old_check_grid(k_values, n_values) -> None:
                 raise ValueError(f"k must be odd, got {k}")
             for n in ns:
                 words.check_beta(k, n)
+
+
+def old_pairs(e: int, tr: int) -> list[tuple[int, int]]:
+    """The earlier ``classify._pairs``, kept verbatim as a reference.
+
+    Conjugacy keeps the exponent sum e and the trace of the matrix, and
+    2 - tr represent(standard_form(p, q)) = 2pq + p + q, so p and q are the
+    roots of z^2 - sigma z + pi with sigma = e - 1 and 2 pi = 2 - tr - sigma.
+    Both orders are returned, larger root first, once if the roots are
+    equal: at most two candidates, a superset of every match.
+    """
+    sigma = e - 1
+    doubled = 2 - tr - sigma
+    disc = sigma * sigma - 2 * doubled
+    root = math.isqrt(max(disc, 0))
+    if doubled % 2 or root * root != disc:
+        return []
+    high, low = (sigma + root) // 2, (sigma - root) // 2
+    return [(high, low)] if root == 0 else [(high, low), (low, high)]
+
+
+def old_standard_pairs(a: TwoBridgeForm, shift: int) -> Iterator[tuple[int, int]]:
+    """The earlier ``twobridge._standard_pairs``, kept verbatim as a
+    reference: the (p, q), p, q >= 1, with alpha - shift = p(2q+1) + q,
+    where 2q+1 is an odd representative in (0, alpha) of +-beta^{+-1} mod
+    alpha.
+
+    There are at most four representatives, so at most four pairs.
+    """
+    alpha, beta = a.alpha, a.beta_canonical
+    inverse = pow(beta, -1, alpha)
+    for c in {beta, inverse, alpha - beta, alpha - inverse}:
+        if c % 2:
+            q = c // 2
+            p, rest = divmod(alpha - shift - q, c)
+            if rest == 0 and p >= 1 and q >= 1:
+                yield p, q
 
 
 def free_reduce(w: BraidWord) -> BraidWord:

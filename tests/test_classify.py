@@ -37,7 +37,13 @@ from gofknots.words import (
     parse_braid,
     standard_form,
 )
-from oracles import matrix_equal_in_b3, old_check_grid, table_label, two_sign_candidate_pq
+from oracles import (
+    matrix_equal_in_b3,
+    old_check_grid,
+    old_pairs,
+    table_label,
+    two_sign_candidate_pq,
+)
 
 
 def acceptance_grid():
@@ -88,6 +94,17 @@ class TestCandidatePq:
                     are_conjugate(word, standard_form(x, y))
                     for x, y in candidate_pq(word)
                 )
+
+    def test_pairs_match_the_sigma_quadratic(self):
+        # the odd-factor discriminant e^2 + 2tr - 5 against the earlier
+        # sigma quadratic with its parity test
+        nonempty = 0
+        for e in range(-60, 61):
+            for tr in range(-600, 601):
+                pairs = classify._pairs(e, tr)
+                assert pairs == old_pairs(e, tr), (e, tr)
+                nonempty += bool(pairs)
+        assert nonempty == 2_111
 
 
 def two_sign_closure(w):
@@ -557,6 +574,30 @@ class TestCheckBattery:
         names = [r.name for r in paper_checks()[0]]
         assert names[0] == "case A: beta(5,-13) vs standard form on {-2,3}"
         assert names[7] == "case B: beta(-3,3) vs standard form on {-1,-6}"
+
+    def test_case_rows_try_both_orders(self, monkeypatch):
+        # standard_form(p, q) and standard_form(q, p) are not conjugate in
+        # general, so a row on {p, q} hands _witness both orders
+        seen = []
+        witness = classify._witness
+
+        def record(w, pairs):
+            pairs = tuple(pairs)
+            seen.append((w, pairs))
+            return witness(w, pairs)
+
+        monkeypatch.setattr(classify, "_witness", record)
+        assert all(r.ok for r in paper_checks()[0])
+        assert seen == [
+            (beta(5, -13), ((-2, 3), (3, -2))),
+            (beta(5, -15), ((2, -3), (-3, 2))),
+            (beta(5, -19), ((1, -6), (-6, 1))),
+            (beta(5, -9), ((-1, 6), (6, -1))),
+            (beta(-3, 15), ((2, 3), (3, 2))),
+            (beta(-3, 17), ((1, 6), (6, 1))),
+            (beta(-3, 5), ((-2, -3), (-3, -2))),
+            (beta(-3, 3), ((-1, -6), (-6, -1))),
+        ]
 
     def test_known_conjugate_pairs(self):
         results = paper_checks()[1][:2]

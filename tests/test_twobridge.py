@@ -11,6 +11,7 @@ from gofknots.twobridge import (
     LensSpace,
     NotTwoBridgeLinkError,
     TwoBridgeForm,
+    _standard_pairs,
     fraction_from_conway,
     lens_equiv,
     lens_space,
@@ -24,13 +25,18 @@ import oracles
 from oracles import fraction_from_conway_by_fractions
 
 
-# every canonical b(alpha, beta) with alpha <= 60, the unknot included
-CANONICAL_FORMS = [TwoBridgeForm(1, 0)] + [
-    TwoBridgeForm(alpha, beta)
-    for alpha in range(2, 61)
-    for beta in range(1, alpha)
-    if gcd(alpha, beta) == 1 and beta <= pow(beta, -1, alpha)
-]
+def canonical_forms(limit):
+    """Every canonical b(alpha, beta) with alpha < limit, the unknot
+    included."""
+    return [TwoBridgeForm(1, 0)] + [
+        TwoBridgeForm(alpha, beta)
+        for alpha in range(2, limit)
+        for beta in range(1, alpha)
+        if gcd(alpha, beta) == 1 and beta <= pow(beta, -1, alpha)
+    ]
+
+
+CANONICAL_FORMS = canonical_forms(61)
 
 
 class TestFractionFromConway:
@@ -279,6 +285,45 @@ class TestStoimenowForm:
 
         for form in CANONICAL_FORMS:
             assert stoimenow_form(form) == reference(form), form
+
+
+def four_residue_braid_index(a):
+    """murasugi_braid_index over the four-residue rule it replaced."""
+    if a.alpha == 1:
+        return None
+    if a.beta_canonical in (1, a.alpha - 1):
+        return 2
+    if any(oracles.old_standard_pairs(a, 0)) or any(oracles.old_standard_pairs(a, 1)):
+        return 3
+    return None
+
+
+def four_residue_stoimenow_form(a):
+    """stoimenow_form over the four-residue rule it replaced."""
+    pair = min(oracles.old_standard_pairs(a, 0), default=None)
+    return None if pair is None else (pair[0], 2, pair[1])
+
+
+class TestTwoResidues:
+    """The standard-form pairs of a class are read off the divisors beta
+    and alpha - beta of 2 alpha +- 1; the four residues +-beta^{+-1} that
+    the rule tried before are the reference, on every canonical form with
+    alpha < 400."""
+
+    FORMS = canonical_forms(400)
+
+    def test_pairs_are_the_four_residue_pairs_with_p_at_most_q(self):
+        assert len(self.FORMS) == 25_099
+        for form in self.FORMS:
+            for sign, shift in ((1, 0), (-1, 1)):
+                old = set(oracles.old_standard_pairs(form, shift))
+                assert old == {(q, p) for p, q in old}, form
+                assert _standard_pairs(form, sign) == {(p, q) for p, q in old if p <= q}, form
+
+    def test_certificates_match_the_four_residue_rule(self):
+        for form in self.FORMS:
+            assert murasugi_braid_index(form) == four_residue_braid_index(form), form
+            assert stoimenow_form(form) == four_residue_stoimenow_form(form), form
 
 
 GRID = range(-60, 61)
