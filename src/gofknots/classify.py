@@ -175,17 +175,21 @@ def classify_gof(k: int, n: int) -> ClassificationResult:
     have a witness but no form, and their record shows neither."""
     _require_odd(k)
     word = beta(k, n)
-    # The cell's exponent sum is 3k + n, and its trace has a closed form:
-    # represent(s2 s1 s2) = S = [[0, 1], [-1, 0]] and S^2 = -I, so for odd k,
-    # beta(k, n) maps to S^k [[1, n], [0, 1]] = eps S [[1, n], [0, 1]] = eps C_n,
-    # C_n = [[0, 1], [-1, -n]], eps = (-1)^((k-1)/2): trace -eps n.
-    eps = 1 if k % 4 == 1 else -1
-    witness, form = _witness(word, _pairs(3 * k + n, -eps * n))
+    witness, form = _witness(word, _pairs(*_cell_invariants(k, n)))
     space = None if form is None else lens_space_of(form)
     label = _NOT_LENS_SPACE if witness is None else _label_for(k, witness, space)
     return ClassificationResult(
         k, n, word, form is not None, form, space, form and witness, label, _describe(label)
     )
+
+
+def _cell_invariants(k: int, n: int) -> tuple[int, int]:
+    """The exponent sum and trace (3k + n, -eps n) of beta(k, n), k odd, with
+    eps = (-1)^((k-1)/2): represent(s2 s1 s2) = S = [[0, 1], [-1, 0]] and S^2 =
+    -I, so beta(k, n) maps to S^k [[1, n], [0, 1]] = eps S [[1, n], [0, 1]] =
+    eps C_n, C_n = [[0, 1], [-1, -n]], of trace -eps n."""
+    eps = 1 if k % 4 == 1 else -1
+    return 3 * k + n, -eps * n
 
 
 def _require_odd(k: int) -> None:
@@ -306,38 +310,33 @@ class CheckResult(Record):
         return self.expected == self.computed
 
 
-# The eight documented conjugacy checks: beta(k, n) against the standard
-# form on {p, q}, either order.  Rows marked True are the only conjugate ones.
-_CASE_ROWS = (
-    ("A", 5, -13, (-2, 3), False),
-    ("A", 5, -15, (2, -3), False),
-    ("A", 5, -19, (1, -6), False),
-    ("A", 5, -9, (-1, 6), False),
-    ("B", -3, 15, (2, 3), False),
-    ("B", -3, 17, (1, 6), False),
-    ("B", -3, 5, (-2, -3), True),
-    ("B", -3, 3, (-1, -6), True),
-)
+# The paper's case rows (A: k = 5, B: k = -3), n in its order, which no rule gives.
+_CASE_ROWS = (("A", 5, (-13, -15, -19, -9)), ("B", -3, (15, 17, 5, 3)))
+_CONJUGATE_CELLS = {(-3, 5), (-3, 3)}
 
 
 def paper_checks() -> tuple[list[CheckResult], list[CheckResult]]:
     """The checks of ``verify-paper``: the eight case rows, then the
     additional checks.
 
-    The additional checks are two beta pairs conjugate despite distinct
-    (k, n), the exceptional rows +-(-3,5) against the plumbing rows
-    beta(+-1, n'), and their lens spaces against the plumbing ones.
-    Conjugate braids have equal exponent sums and beta(eps, n') has
-    3 eps + n', so n' = 3k + n - 3 eps is the one row that could match.
-    L(n+2eps, 1) has order |n+2eps|, which is 7 only at n = +-7 - 2eps,
-    so checking those four spaces settles every n; the name keeps the
-    range [-40,40] that the benchmark and the README print.
+    The case rows are every cell of rows 5 and -3 with a candidate, each
+    decided by classify_gof and named by its candidate {p, q} with the
+    smaller |p|.  The additional checks are two beta pairs conjugate
+    despite distinct (k, n), the exceptional rows +-(-3,5) against the
+    plumbing rows beta(+-1, n'), and their lens spaces against the
+    plumbing ones.  Conjugate braids have equal exponent sums and
+    beta(eps, n') has 3 eps + n', so n' = 3k + n - 3 eps is the one row
+    that could match.  L(n+2eps, 1) has order |n+2eps|, which is 7 only at
+    n = +-7 - 2eps, so checking those four spaces settles every n; the
+    name keeps the range [-40,40] that the benchmark and the README print.
     """
     case_rows = []
-    for case, k, n, (p, q), expected in _CASE_ROWS:
-        witness, _ = _witness(beta(k, n), ((p, q), (q, p)))
-        name = f"case {case}: beta({k},{n}) vs standard form on {{{p},{q}}}"
-        case_rows.append(CheckResult(name, expected, witness is not None))
+    for case, k, ns in _CASE_ROWS:
+        for n in ns:
+            p, q = min(_pairs(*_cell_invariants(k, n)), key=lambda pair: abs(pair[0]))
+            name = f"case {case}: beta({k},{n}) vs standard form on {{{p},{q}}}"
+            computed = classify_gof(k, n).witness is not None
+            case_rows.append(CheckResult(name, (k, n) in _CONJUGATE_CELLS, computed))
     pairs = [((-3, 3), (-1, -3), True), ((3, -3), (1, 3), True)]
     for k, n in ((-3, 5), (3, -5)):
         pairs += [((k, n), (eps, 3 * k + n - 3 * eps), False) for eps in (1, -1)]

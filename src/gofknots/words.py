@@ -288,7 +288,7 @@ def beta(k: int, n: int) -> BraidWord:
 
     Negative powers expand through inverse letters, so the length is
     always 3|k| + |n| and the exponent sum 3k + n.  For odd k the trace
-    of its matrix is -eps n, eps = (-1)^((k-1)/2) (``classify_gof``).
+    of its matrix is -eps n, eps = (-1)^((k-1)/2) (``classify._cell_invariants``).
     """
     check_beta(k, n)
     triple = b"\x02\x01\x02" if k >= 0 else b"\xfe\xff\xfe"

@@ -1,6 +1,7 @@
 """The classification driver: candidates, closures, labels, check battery."""
 
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -430,6 +431,7 @@ class TestCellClosedForm:
         for k, n in ((-3, 5), (3, -5), (1, 3), (-1, 2), (5, -13), (5, 7), (-49, 200)):
             classify_gof(k, n)
         scan_table(range(-9, 10, 2), range(-30, 31))
+        paper_checks()  # the case rows too, through classify_gof
         assert calls == []
 
     def test_cell_candidates_are_the_word_candidates_on_the_grid(self, monkeypatch):
@@ -577,27 +579,37 @@ class TestCheckBattery:
 
     def test_case_rows_try_both_orders(self, monkeypatch):
         # standard_form(p, q) and standard_form(q, p) are not conjugate in
-        # general, so a row on {p, q} hands _witness both orders
+        # general, so a row on {p, q} hands _witness both orders: the
+        # cell's candidates
         seen = []
         witness = classify._witness
+        monkeypatch.setattr(
+            classify, "_witness", lambda w, pairs: seen.append((w, pairs)) or witness(w, pairs)
+        )
+        results = paper_checks()[0]
+        assert all(r.ok for r in results)
+        cells = [(5, -13), (5, -15), (5, -19), (5, -9), (-3, 15), (-3, 17), (-3, 5), (-3, 3)]
+        assert [w for w, _ in seen] == [beta(k, n) for k, n in cells]
+        named = [tuple(map(int, re.search(r"\{(-?\d+),(-?\d+)\}$", r.name).groups())) for r in results]
+        assert named == [(-2, 3), (2, -3), (1, -6), (-1, 6), (2, 3), (1, 6), (-2, -3), (-1, -6)]
+        for (p, q), (w, pairs) in zip(named, seen):
+            assert sorted(pairs) == sorted([(p, q), (q, p)])
+            assert pairs == candidate_pq(w)
 
-        def record(w, pairs):
-            pairs = tuple(pairs)
-            seen.append((w, pairs))
-            return witness(w, pairs)
-
-        monkeypatch.setattr(classify, "_witness", record)
-        assert all(r.ok for r in paper_checks()[0])
-        assert seen == [
-            (beta(5, -13), ((-2, 3), (3, -2))),
-            (beta(5, -15), ((2, -3), (-3, 2))),
-            (beta(5, -19), ((1, -6), (-6, 1))),
-            (beta(5, -9), ((-1, 6), (6, -1))),
-            (beta(-3, 15), ((2, 3), (3, 2))),
-            (beta(-3, 17), ((1, 6), (6, 1))),
-            (beta(-3, 5), ((-2, -3), (-3, -2))),
-            (beta(-3, 3), ((-1, -6), (-6, -1))),
-        ]
+    def test_case_rows_are_every_candidate_cell_of_their_rows(self):
+        # n has a candidate when the discriminant (m - eps)^2 - N, m = 3k + n,
+        # N = 6(1 - eps k), is a square r^2: (m - eps - r)(m - eps + r) = N,
+        # a factor pair d, N/d of equal parity, so m - eps = (d + N/d) / 2
+        rows = {k: ns for _, k, ns in classify._CASE_ROWS}
+        assert sorted(rows) == [-3, 5]
+        for k, ns in rows.items():
+            scanned = [n for n in range(-400, 401) if classify._pairs(*classify._cell_invariants(k, n))]
+            eps = 1 if k % 4 == 1 else -1
+            big_n = 6 * (1 - eps * k)
+            assert abs(big_n) == 24
+            divisors = [d for d in range(-abs(big_n), abs(big_n) + 1) if d and big_n % d == 0]
+            derived = {(d + big_n // d) // 2 + eps - 3 * k for d in divisors if (d - big_n // d) % 2 == 0}
+            assert sorted(ns) == scanned == sorted(derived), k
 
     def test_known_conjugate_pairs(self):
         results = paper_checks()[1][:2]
@@ -607,15 +619,23 @@ class TestCheckBattery:
     def test_separation_compares_every_space_of_order_seven(self, monkeypatch):
         # L(n+2eps, 1) for the n in [-40, 40] with |n + 2eps| = 7, once
         # against each exceptional space
+        # (only the separation check compares lens spaces)
         calls = []
-        monkeypatch.setattr(
-            classify, "lens_space", lambda p, q: calls.append((p, q)) or lens_space(p, q)
-        )
+        equiv = classify.lens_equiv
+
+        def record(a, b, oriented):
+            calls.append(((a.p, a.q_canonical), (b.p, b.q_canonical), oriented))
+            return equiv(a, b, oriented=oriented)
+
+        monkeypatch.setattr(classify, "lens_equiv", record)
         assert all(r.ok for r in paper_checks()[1])
         solutions = [(n, eps) for n in range(-40, 41) for eps in (1, -1) if abs(n + 2 * eps) == 7]
         assert sorted(solutions) == [(-9, 1), (-5, -1), (5, 1), (9, -1)]
-        plumbing = [(n + 2 * eps, 1) for n, eps in solutions]
-        assert sorted(calls) == sorted([(7, 2), (7, -2)] + 2 * plumbing)
+        exceptional = [lens_space(7, 2), lens_space(7, -2)]
+        plumbing = [lens_space(n + 2 * eps, 1) for n, eps in solutions]
+        assert sorted(calls) == sorted(
+            ((a.p, a.q_canonical), (b.p, b.q_canonical), False) for a in exceptional for b in plumbing
+        )
 
     def test_exception_isolation(self):
         results = paper_checks()[1][2:]

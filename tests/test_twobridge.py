@@ -200,10 +200,10 @@ class TestMurasugiBraidIndex:
     def test_unknot_has_no_certificate(self):
         assert murasugi_braid_index(TwoBridgeForm(1, 0)) is None
 
-    def test_boundary_case_differs_between_settings(self):
+    def test_b7_2_has_index_three(self):
         assert murasugi_braid_index(normalize_two_bridge(7, 2)) == 3
 
-    def test_relaxed_certifies_standard_form_closures(self):
+    def test_standard_form_closures_have_index_three_except_at_1_1(self):
         # closures of s2^-1 s1^p s2^2 s1^q are three-braid closures; all of
         # them with p, q >= 1 except (1, 1) avoid the index-two family
         for p in range(1, 9):
@@ -212,7 +212,7 @@ class TestMurasugiBraidIndex:
                 expected = 2 if (p, q) == (1, 1) else 3
                 assert murasugi_braid_index(form) == expected
 
-    def test_interior_grid_agrees_between_settings(self):
+    def test_interior_standard_form_closures_have_index_three(self):
         for p in range(2, 9):
             for q in range(2, 9):
                 form = normalize_two_bridge(2 * p * q + p + q, 2 * q + 1)
