@@ -19,9 +19,12 @@ piece is reduced against the stack only at the seam, and every reducing
 step removes a syllable that was stacked once, so the whole projection
 stays linear, ``w w^-1`` included; a piece whose image stacks whole is
 appended without a call.  Cyclic reduction finds the ends that cancel by
-bisection over slice comparisons, the rotation test is a substring search
-of one core in the other core doubled, and the canonical rotation printed
-by ``nf`` comes from Duval's Lyndon factorization.
+doubling and bisection over slice comparisons, and the canonical rotation
+printed by ``nf`` comes from Duval's Lyndon factorization.
+
+A cyclic core of two or more syllables alternates X with Y-types, so it
+is a cyclic word in L = X Y and R = X Y2, and the rotation test searches
+its Y-type syllables alone: half the bytes of the syllable word.
 """
 
 from __future__ import annotations
@@ -255,19 +258,25 @@ def _cyclic_core(data: bytes) -> bytes:
     between two X syllables, ends the reduction.
 
     The pairs that cancel are the longest common prefix of the word and
-    its reversal with Y and Y2 swapped, at most half the word.  It is
-    found by bisection over slice comparisons, each comparing only bytes
-    not yet known to agree: a few dozen Python steps and linear work in
-    C, however many pairs cancel.  The pair after it merges if its two
-    syllables are equal, which makes them Y-types, since X cancels X.
+    its reversal with Y and Y2 swapped, at most half the word.  The prefix
+    is found by doubling, then bisection: each step compares a slice of
+    the word's head not yet known to agree with the slice of its tail
+    that faces it, reversed and swapped.  Only those slices are read, so
+    the steps are logarithmic and the bytes read linear in the pairs that
+    cancel, a few of each when none do.  The pair after the prefix merges
+    if its two syllables are equal, which makes them Y-types, since X
+    cancels X.
+
+    A core of two or more syllables has ends in different factors, so it
+    has even length and X fills one parity class: it is a cyclic word in
+    L = X Y and R = X Y2, read off its Y-type syllables.
     """
     size = len(data)
-    inverted = data[::-1].translate(_INVERSE_SYLLABLES)
-    same, most = 0, size // 2  # data[:same] == inverted[:same]; no more than most cancel
+    same, most, step = 0, size // 2, 1  # the first same pairs cancel; no more than most do
     while same < most:
-        middle = (same + most + 1) // 2
-        if data[same:middle] == inverted[same:middle]:
-            same = middle
+        middle = same + min(step, (most - same + 1) // 2)
+        if data[same:middle] == data[size - middle:size - same][::-1].translate(_INVERSE_SYLLABLES):
+            same, step = middle, 2 * step
         else:
             most = middle - 1
     first, last = same, size - 1 - same
@@ -299,17 +308,35 @@ def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     """Exact conjugacy decision for three-strand braids.
 
     Conjugacy in the quotient is rotation of cyclically reduced words, so
-    the two cores are compared by a substring search of one in the other
-    doubled, which CPython runs in linear time; no canonical rotation is
-    needed.  The exponent sum then pins down the central factor, because
-    conjugating in the braid group cannot absorb a central power.  The
-    reduced syllables go to the cyclic core as bytes, with no record built.
+    ``_is_rotation`` compares the two cyclic cores, read as words in
+    L = X Y and R = X Y2; no canonical rotation is needed.  The exponent sum then pins down the central
+    factor, because conjugating in the braid group cannot absorb a central
+    power.  The reduced syllables go to the cyclic core as bytes, with no
+    record built.
     """
     if exponent_sum(u) != exponent_sum(v):
         return False
-    a = _cyclic_core(_reduce(u.letter_bytes))
-    b = _cyclic_core(_reduce(v.letter_bytes))
-    return len(a) == len(b) and b in a + a
+    return _is_rotation(_cyclic_core(_reduce(u.letter_bytes)), _cyclic_core(_reduce(v.letter_bytes)))
+
+
+def _is_rotation(a: bytes, b: bytes) -> bool:
+    """Whether the cyclic cores ``a`` and ``b`` are rotations of each other.
+
+    Cores of at most one syllable (the identity and the torsion classes X,
+    Y, Y^2) are compared literally.  Longer cores of equal length are read
+    as words in L = X Y and R = X Y2, their Y-type syllables alone: a
+    rotation by an odd number of syllables takes X onto a Y-type, so the
+    cores are rotations of each other exactly when their Y-types are.
+    Those are compared by a substring search of one in the other doubled,
+    which CPython runs in linear time.
+    """
+    if len(a) != len(b):
+        return False
+    if len(a) < 2:
+        return a == b
+    # The Y-types start at index 1 when the core starts with X.
+    a, b = a[a[0] == X :: 2], b[b[0] == X :: 2]
+    return b in a + a
 
 
 def equal_in_b3(u: BraidWord, v: BraidWord) -> bool:

@@ -21,8 +21,10 @@ the library converts each stretch of single letters in one call.
 ``old_format_braid``, ``old_inverse`` and ``old_mirror`` build a word
 letter by letter, where the library translates its letter bytes, and
 ``old_cyclic_core`` strips one pair of ends per step, where the library
-bisects for the pairs that cancel.  ``old_check_grid`` checks every cell
-of a grid, where the library checks each row from its ends.
+finds the pairs that cancel by doubling and bisection, and
+``old_is_rotation`` searches a core in the other written twice, where the
+library searches their Y-type syllables alone.  ``old_check_grid`` checks
+every cell of a grid, where the library checks each row from its ends.
 ``old_pairs`` solves the candidate quadratic in p and q with a parity
 test, where the library solves it in the odd factors 2p+1 and 2q+1, and
 ``old_standard_pairs`` tries four residues and a modular inverse, where the
@@ -385,6 +387,12 @@ def old_cyclic_core(data: bytes) -> bytes:
         if merged:
             return data[first:last + 1] + bytes((merged,))
     return data[first:last + 1]
+
+
+def old_is_rotation(a: bytes, b: bytes) -> bool:
+    """The earlier rotation test of two cyclic cores, over every syllable,
+    kept verbatim as a reference."""
+    return len(a) == len(b) and b in a + a
 
 
 def old_check_grid(k_values, n_values) -> None:

@@ -2,6 +2,7 @@
 
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -12,6 +13,7 @@ from gofknots.modular import (
     Y2,
     FreeProductWord,
     _cyclic_core,
+    _is_rotation,
     are_conjugate,
     cyclic_normal_form,
     equal_in_b3,
@@ -32,10 +34,27 @@ from oracles import (
     find_conjugator_brute,
     matrix_equal_in_b3,
     old_cyclic_core,
+    old_is_rotation,
     old_project,
     psl_matrix,
     scramble,
 )
+
+
+INVERT = bytes.maketrans(bytes((Y, Y2)), bytes((Y2, Y)))
+
+
+def words_up_to(length):
+    """Every braid word of at most ``length`` letters."""
+    for size in range(length + 1):
+        for letters in product((1, -1, 2, -2), repeat=size):
+            yield BraidWord(letters)
+
+
+def alternating(rng, size, last_is_x):
+    """A reduced syllable word of ``size`` syllables that ends in X or, if
+    not ``last_is_x``, in a random Y-type."""
+    return bytes(X if ((size - 1 - i) % 2 == 0) == last_is_x else rng.choice((Y, Y2)) for i in range(size))
 
 
 def random_word(rng, max_len=30):
@@ -187,7 +206,8 @@ class TestCyclicNormalForm:
 
 
 class TestCyclicCore:
-    """The bisected cyclic reduction against the pair-by-pair loop."""
+    """The cyclic reduction by doubling and bisection against the
+    pair-by-pair loop."""
 
     @pytest.mark.parametrize(
         "syllables, core",
@@ -211,14 +231,13 @@ class TestCyclicCore:
         assert _cyclic_core(data) == old_cyclic_core(data) == bytes(core)
 
     def test_fully_cancelling_words_of_every_odd_length(self):
+        # w X w^-1, w Y w^-1 and w Y2 w^-1 for reduced w of every length
+        # up to 40: every pair but the middle cancels
         rng = random.Random(47)
-        for half in range(40):
-            start = rng.choice((X, Y))
-            left = bytes(X if (i % 2 == 0) == (start == X) else rng.choice((Y, Y2)) for i in range(half))
+        for half in range(41):
             for middle in (X, Y, Y2):
-                if left and (left[-1] == X) == (middle == X):
-                    continue
-                data = left + bytes((middle,)) + left[::-1].translate(bytes.maketrans(b"\1\2", b"\2\1"))
+                left = alternating(rng, half, middle != X)
+                data = left + bytes((middle,)) + left[::-1].translate(INVERT)
                 FreeProductWord(data)  # reduced
                 assert _cyclic_core(data) == old_cyclic_core(data) == bytes((middle,))
 
@@ -229,6 +248,75 @@ class TestCyclicCore:
             for w in (BraidWord(), parse_braid("a"), parse_braid("s1^7 s2^-1"), random_word(rng)):
                 data = project(conjugate_by(w, g)).syllables
                 assert _cyclic_core(data) == old_cyclic_core(data)
+
+    def test_cores_past_one_syllable_alternate_x_with_y_types(self):
+        # the fact the rotation test reads: even length, X filling exactly
+        # one parity class, so the Y-type syllables fix the core
+        lengths = set()
+        for w in words_up_to(8):
+            core = _cyclic_core(project(w).syllables)
+            lengths.add(len(core))
+            if len(core) >= 2:
+                assert len(core) % 2 == 0, (w, core)
+                x_class, y_class = (core[0::2], core[1::2]) if core[0] == X else (core[1::2], core[0::2])
+                assert x_class == bytes(len(core) // 2) and X not in y_class, (w, core)
+        assert lengths >= {0, 1, 2, 4, 6, 8}, lengths
+
+    def test_every_pair_cancels_up_to_the_half_of_even_words(self):
+        # w w^-1 is no reduced word, but it is the input on which every
+        # pair of an even word cancels, so the search for the pairs that
+        # cancel reads the reversed half to its last byte
+        rng = random.Random(59)
+        for size in range(0, 42, 2):
+            for _ in range(3):
+                w = bytes(rng.choice((X, Y, Y2)) for _ in range(size // 2))
+                data = w + w[::-1].translate(INVERT)
+                assert _cyclic_core(data) == old_cyclic_core(data) == b""
+
+    def test_y_type_ends_that_merge_at_every_depth(self):
+        # w t m t w^-1 with a Y-type t and m running from X to X: the pairs
+        # of w cancel, then t against t merges, wherever the half falls
+        rng = random.Random(67)
+        for size in range(41):
+            for middle_size in (1, 3, 5, 21):
+                for t in (Y, Y2):
+                    w, m = alternating(rng, size, True), alternating(rng, middle_size, True)
+                    data = w + bytes((t,)) + m + bytes((t,)) + w[::-1].translate(INVERT)
+                    FreeProductWord(data)  # reduced
+                    core = m + bytes((3 - t,))
+                    assert _cyclic_core(data) == old_cyclic_core(data) == core
+
+
+class TestIsRotation:
+    """The rotation test over Y-type syllables against the one over every
+    syllable."""
+
+    def test_every_ordered_pair_of_short_cores(self):
+        cores = sorted({_cyclic_core(project(w).syllables) for w in words_up_to(5)})
+        verdicts = set()
+        for a in cores:
+            for b in cores:
+                if a != b:
+                    verdict = _is_rotation(a, b)
+                    assert verdict is old_is_rotation(a, b), (a, b)
+                    verdicts.add(verdict)
+        assert len(cores) > 100 and verdicts == {True, False}, len(cores)
+
+    def test_periodic_family_and_its_rotations(self):
+        # s1^m s2^-k, the benchmark's periodic family, with the rotations
+        # s2^-k s1^m and its conjugates by a few letters
+        cores = set()
+        for m in (1, 2, 3, 7, 50, 301):
+            for k in (1, 2, 3, 4):
+                for text in (f"s1^{m} s2^-{k}", f"s2^-{k} s1^{m}", f"a s1^{m} s2^-{k} A", f"B s2^-{k} s1^{m} b"):
+                    cores.add(_cyclic_core(project(parse_braid(text)).syllables))
+        rotations = 0
+        for a in cores:
+            for b in cores:
+                verdict = _is_rotation(a, b)
+                assert verdict is old_is_rotation(a, b), (a, b)
+                rotations += verdict and a != b
+        assert rotations > 0
 
 
 class TestAreConjugate:

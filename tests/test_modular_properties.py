@@ -1,8 +1,9 @@
 """The central quotient, swept over random words: the cyclic normal form is
 a conjugacy invariant, the conjugacy decision accepts every conjugate and
 is symmetric, projected words are bytes and rebuild unchanged from any
-sequence type, the bisected cyclic core agrees with the pair-by-pair
-reference, and equality in the quotient agrees with the matrix decision."""
+sequence type, the cyclic core found by doubling and bisection agrees with
+the pair-by-pair reference, and equality in the quotient agrees with the
+matrix decision."""
 
 import pytest
 

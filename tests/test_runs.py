@@ -3,9 +3,11 @@ projection (pairs of blocks of four letters, long runs in one step) and the
 run-wise matrix against their letter-by-letter references, a pair table
 that starts empty and holds pairs of block images only, a cost per run
 that does not grow with the length of the run, a projection cost of one
-step per eight letters on random words, and a cyclic core whose cost does
-not grow with the ends that cancel."""
+step per eight letters on random words, a cyclic core whose cost does not
+grow with the ends that cancel, and a periodic conjugacy verdict whose cost
+does not grow with the period."""
 
+import gc
 import os
 import random
 import subprocess
@@ -238,7 +240,12 @@ class TestPairsOfBlocks:
 
 
 def _line_events(function, w):
-    """Line events of every Python frame run by ``function(w)``."""
+    """Line events of every Python frame run by ``function(w)``.
+
+    The collector is off while the call is traced: a collection inside it
+    would run the Python callbacks in ``gc.callbacks`` (hypothesis installs
+    one) and count their lines too, at whichever call the allocation count
+    happens to trip it."""
     count = 0
 
     def local(frame, event, arg):
@@ -247,17 +254,32 @@ def _line_events(function, w):
         return local
 
     previous = sys.gettrace()
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(lambda frame, event, arg: local)
     try:
         function(w)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return count
 
 
 @pytest.mark.parametrize("function", [project, represent], ids=["project", "represent"])
 def test_steps_per_run_do_not_grow_with_the_run(function):
     assert _line_events(function, periodic(10)) == _line_events(function, periodic(100_000))
+
+
+def test_a_periodic_verdict_costs_the_same_steps_for_any_period():
+    # The projection, the search for the ends that cancel (none do, so the
+    # first comparison ends it) and the rotation test each take a fixed
+    # number of steps; bisecting from the middle took a step per halving.
+    def verdict(w):
+        return are_conjugate(w, w)
+
+    assert verdict(periodic(100_000))
+    assert _line_events(verdict, periodic(10)) == _line_events(verdict, periodic(100_000))
 
 
 def test_a_random_word_costs_one_step_per_four_letters():
@@ -289,8 +311,9 @@ def test_equality_costs_two_projections_and_no_matrix():
 
 
 def test_the_cyclic_core_costs_a_few_steps_however_many_ends_cancel():
-    # Bisection takes a step per halving, some 14 here; stripping one pair
-    # of ends per step took one step per pair, thousands here.
+    # Doubling, then bisection, takes a step per doubling and per halving,
+    # some 21 here; stripping one pair of ends per step took one step per
+    # pair, thousands here.
     rng = random.Random(43)
     g = BraidWord(tuple(rng.choice(LETTERS) for _ in range(5000)))
     syllables = project(conjugate_by(periodic(3), g)).syllables
