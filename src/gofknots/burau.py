@@ -98,12 +98,15 @@ def homology_order(w: BraidWord) -> int:
 
 def classify_monodromy(w: BraidWord) -> str:
     """Nielsen-Thurston type of the mapping class of ``w`` on the
-    once-punctured torus, read off the trace of its homology action:
-    "periodic", "reducible" or "pseudo-Anosov"."""
-    t = abs(trace(w))
+    once-punctured torus, read off its homology action M: "pseudo-Anosov"
+    if |tr M| > 2, "reducible" if |tr M| = 2 and M is not +-I, else
+    "periodic".  M = +-I (det M = 1, tr M = +-2, b = c = 0) is the identity
+    or the hyperelliptic involution, of finite order."""
+    m = represent(w)
+    t = abs(m.trace)
     if t > 2:
         return "pseudo-Anosov"
-    if t == 2:
+    if t == 2 and (m.b, m.c) != (0, 0):
         return "reducible"
     return "periodic"
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import struct
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import chain, compress, islice
 from operator import ne
@@ -300,6 +301,21 @@ def check_beta(k: int, n: int) -> None:
     length = 3 * abs(k) + abs(n)
     if length > _MAX_LETTERS:
         raise ValueError(f"beta({k}, {n}) has {length} letters, more than {_MAX_LETTERS}")
+
+
+def check_beta_row(k: int, ns: Sequence[int]) -> None:
+    """Refuse the row beta(k, n), n in the ascending nonempty ``ns`` (a
+    sorted list or a range of positive step), at its first cell past the
+    letter budget.  3|k| + |n| passes exactly when |n| <= bound = budget -
+    3|k|; past a passing ns[0] >= -bound, the refused n are those above
+    bound, a suffix from index (bound - ns[0]) // step + 1 of a range (not
+    measured: len() overflows past sys.maxsize) or bisect_right(ns, bound).
+    """
+    check_beta(k, ns[0])
+    bound = _MAX_LETTERS - 3 * abs(k)
+    if ns[-1] > bound:
+        first = (bound - ns[0]) // ns.step + 1 if isinstance(ns, range) else bisect_right(ns, bound)
+        check_beta(k, ns[first])
 
 
 def standard_form(p: int, q: int) -> BraidWord:

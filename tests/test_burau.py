@@ -189,6 +189,14 @@ class TestMonodromy:
         assert classify_monodromy(beta(1, 1)) == "periodic"
         assert classify_monodromy(beta(1, 0)) == "periodic"
 
+    def test_plus_and_minus_identity_are_periodic(self):
+        # trace +-2 with b = c = 0 is +-I: the identity and the
+        # hyperelliptic involution, of finite order, not reducible
+        for text, sign in (("", 1), ("a b a b a b", -1), ("a b a b a b a b a b a b", 1)):
+            word = parse_braid(text)
+            assert represent(word) == SL2Matrix(sign, 0, 0, sign)
+            assert classify_monodromy(word) == "periodic", text
+
     def test_pseudo_anosov_iff_large_trace(self):
         for n in range(-20, 21):
             expected = "pseudo-Anosov" if abs(n) > 2 else (

@@ -1,7 +1,8 @@
 """The package namespace re-exports exactly the layers' public names, no
 layer borrows another's private names, every function the benchmark
-traces by name exists, and the command runs as a module without loading
-dataclasses, json, typing or random at start-up."""
+traces by name exists, every source file parses under the Python 3.10
+grammar, and the command runs as a module without loading dataclasses,
+json, typing or random at start-up."""
 
 import ast
 import importlib.util
@@ -104,6 +105,16 @@ def test_no_module_imports_a_private_name():
                     if alias.name.startswith("_") and not alias.name.endswith("__")
                 ]
     assert borrowed == []
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # the grammar of the oldest Python the package supports; a check of
+    # syntax only, not of the library calls a file makes
+    root = PACKAGE_DIR.parents[1]
+    paths = sorted(path for top in ("src", "tests", "bench") for path in (root / top).rglob("*.py"))
+    assert len(paths) > 20
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=(3, 10))
 
 
 def test_result_to_record_lives_in_the_cli():
