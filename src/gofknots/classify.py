@@ -9,8 +9,10 @@ standard_form(-p-1, -q-1), so a braid whose mirror matches a standard form
 matches one itself.
 The exponent sum and the signed trace of a word fix the sum and the
 product of the odd factors 2p+1 and 2q+1, which leaves at most two (p, q)
-candidates, each settled by the exact conjugacy test: a finite
-closed-form computation per word.
+candidates, each settled by comparing cyclic cores in the quotient: a
+finite closed-form computation per word.  The trace is read off the
+word's cyclic core, so one reduction of the word gives its candidates and
+the core they are compared with, and no matrix is built.
 
 For odd k, the lift of the braid axis of the closure of beta(k, n) is a
 genus-one fibered knot with tunnel number one in the double branched
@@ -25,8 +27,7 @@ import math
 from collections.abc import Iterable, Iterator
 
 from ._record import Record
-from .burau import trace
-from .modular import are_conjugate
+from .modular import are_conjugate, core_trace, is_rotation, word_core
 from .twobridge import (
     LensSpace,
     TwoBridgeForm,
@@ -102,12 +103,29 @@ class ClassificationResult(Record):
 
 
 def candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
-    """All (p, q) that could make standard_form(p, q) conjugate to ``w``."""
-    return _pairs(exponent_sum(w), trace(w))
+    """All (p, q) that could make standard_form(p, q) conjugate to ``w``.
+
+    The trace comes from the cyclic core of ``w``, and none past four runs
+    of L and R: no standard form's core has more, so the empty list is
+    still a superset of every match.  Proof, on the cyclic word X T^u X
+    T^2 X T^v, u = p + 1, v = q + 1, of ``_witness``: X T^a reduces to Y
+    (X Y)^(a-1) for a >= 1 and to (X Y2)^-a X for a <= -1, so its Y-types
+    are all L or all R, and the blocks meet at their joins only.  For u, v
+    >= 2 two Y's merge to Y2 at each join, L^(u-2) R^2 L^(v-2) R; for u >=
+    2 >= -v, L^(u-1) R L R^-v; for u, v <= -2, X cancels X at one join and
+    two Y2's merge, L R^(-u-1) L^2 R^(-v-1).  Reversal swaps u and v, and
+    v in {-1, 0, 1} leaves X T^a or X T^a X T^3 (``_witness``): one block
+    reads R L^(a-2), L R^(-a-2) or a torsion core, and two read R L^(a-2) R
+    L for a >= 2, R^-a L^3 for a <= -2, and R L^3, L^3 or Y for a = -1, 0,
+    1.
+    """
+    e = exponent_sum(w)
+    return _pairs(e, core_trace(word_core(w), e))
 
 
-def _pairs(e: int, tr: int) -> list[tuple[int, int]]:
-    """The (p, q) whose standard form has exponent sum e and trace tr.
+def _pairs(e: int, tr: int | None) -> list[tuple[int, int]]:
+    """The (p, q) whose standard form has exponent sum e and trace tr; none
+    for tr None, a core with no trace.
 
     Conjugacy keeps e = p + q + 1 and the trace, 2 - tr = 2pq + p + q for
     standard_form(p, q).  So the odd factors 2p+1 and 2q+1 sum to 2e and
@@ -115,6 +133,8 @@ def _pairs(e: int, tr: int) -> list[tuple[int, int]]:
     root^2 = e^2 + 1 mod 2 makes both odd.  Both orders are returned, larger
     root first, once if equal: at most two candidates, a superset of every match.
     """
+    if tr is None:
+        return []
     disc = e * e + 2 * tr - 5
     root = math.isqrt(max(disc, 0))
     if root * root != disc:
@@ -123,9 +143,17 @@ def _pairs(e: int, tr: int) -> list[tuple[int, int]]:
     return [(high, low)] if root == 0 else [(high, low), (low, high)]
 
 
-def _witness(w: BraidWord, pairs: Iterable[Witness]) -> tuple[Witness | None, TwoBridgeForm | None]:
+def _witness(
+    w: BraidWord, pairs: Iterable[Witness], core: bytes | None = None
+) -> tuple[Witness | None, TwoBridgeForm | None]:
     """The first (p, q) of ``pairs`` whose standard form is conjugate to
     ``w``, with its closure b(2pq+p+q, 2q+1); (None, None) without one.
+
+    Every pair has p + q + 1 = e(w), the exponent sum of its standard form,
+    so the two are conjugate exactly when their cyclic cores are rotations
+    of each other.  ``core`` is the cyclic core of ``w`` if the caller has
+    it; else ``w`` is reduced once, at the first candidate built, so a word
+    without one is never reduced.
 
     The form is None when 2pq+p+q = 0: homology order zero, the
     two-component unlink, which has no normal form.  Only the witnesses
@@ -155,7 +183,10 @@ def _witness(w: BraidWord, pairs: Iterable[Witness]) -> tuple[Witness | None, Tw
     """
     bound = len(w) + 5
     for p, q in pairs:
-        if abs(p) + abs(q) <= bound and are_conjugate(w, standard_form(p, q)):
+        if abs(p) + abs(q) > bound:
+            continue
+        core = word_core(w) if core is None else core
+        if is_rotation(core, word_core(standard_form(p, q))):
             alpha = 2 * p * q + p + q
             return (p, q), normalize_two_bridge(alpha, 2 * q + 1) if alpha else None
     return None, None
@@ -163,8 +194,10 @@ def _witness(w: BraidWord, pairs: Iterable[Witness]) -> tuple[Witness | None, Tw
 
 def is_two_bridge_closure(w: BraidWord) -> tuple[TwoBridgeForm, Witness] | None:
     """Decide whether the closure of ``w`` is a two-bridge link: its form
-    and witness (p, q), or None for no witness or an unlink witness."""
-    witness, form = _witness(w, candidate_pq(w))
+    and witness (p, q), or None for no witness or an unlink witness.  The
+    word is reduced once, for its candidates and the comparisons both."""
+    core, e = word_core(w), exponent_sum(w)
+    witness, form = _witness(w, _pairs(e, core_trace(core, e)), core)
     return None if form is None else (form, witness)
 
 

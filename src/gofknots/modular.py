@@ -24,7 +24,9 @@ printed by ``nf`` comes from Duval's Lyndon factorization.
 
 A cyclic core of two or more syllables alternates X with Y-types, so it
 is a cyclic word in L = X Y and R = X Y2, and the rotation test searches
-its Y-type syllables alone: half the bytes of the syllable word.
+its Y-type syllables alone: half the bytes of the syllable word.  L and R
+are the images of s1 and s2^-1, so a core of at most four runs of L and R
+and the exponent sum give the trace of the braid's matrix in closed form.
 """
 
 from __future__ import annotations
@@ -304,22 +306,64 @@ def _least_rotation(core: bytes) -> bytes:
     return doubled[least:least + size]
 
 
+def word_core(w: BraidWord) -> bytes:
+    """The cyclic core of the image of ``w`` in the quotient, as syllable
+    bytes: one reduction of the word, with no record built."""
+    return _cyclic_core(_reduce(w.letter_bytes))
+
+
+# The torsion cores 1, X, Y and Y2 as (exponent sum, trace) of a lift each:
+# 1, s1 s2 s1, s1^-1 s2^-1 and s2 s1.
+_TORSION_LIFTS = {b"": (0, 2), bytes((X,)): (3, 0), bytes((Y,)): (-2, 1), bytes((Y2,)): (2, 1)}
+_L_TO_R, _R_TO_L = bytes((Y, Y2)), bytes((Y2, Y))
+
+
+def core_trace(core: bytes, e: int) -> int | None:
+    """The trace of the matrix of a braid of exponent sum ``e`` whose cyclic
+    core is ``core``, read off the core; None if the core, read as a cyclic
+    word in L and R, has more than four runs.
+
+    Proof.  A core of two or more syllables is a cyclic word in L = X Y and
+    R = X Y2, and L, R are the images of s1 and s2^-1.  So the core is the
+    image of its lift, the word in s1 and s2^-1 spelled by its Y-types, and
+    a braid whose image is conjugate to the lift's is conjugate to h^m
+    times the lift, h = (s1 s2)^3 central of exponent sum 6: m = (e - #L +
+    #R) / 6.  The matrix of h is -I, so the trace is (-1)^m times the
+    lift's.  With L^a = [[1, a], [0, 1]] and R^b = [[1, 0], [b, 1]], L^a R^b
+    = [[1 + ab, a], [b, 1]] and tr L^a R^b L^c R^d = 2 + ab + bc + cd + da +
+    abcd, which with zeros covers two runs and one.  The torsion cores have
+    the fixed lifts of ``_TORSION_LIFTS`` instead.  A cyclic word has one
+    L-to-R boundary per run of L, so counting those at C speed counts the
+    runs; past four none is read, since no standard form's core has more
+    (``classify.candidate_pq``).
+    """
+    if len(core) < 2:
+        lift_e, lift_tr = _TORSION_LIFTS[core]
+    else:
+        ys = core[core[0] == X :: 2]  # the Y-types: Y for L, Y2 for R
+        if ys.count(_L_TO_R) + (ys[-1] == Y and ys[0] == Y2) > 2:
+            return None
+        cut = ys.find(_R_TO_L) + 1  # a run of L starts here, unless there is one run
+        # Y and Y2 are the bytes of s1 and s2, so _RUN splits the Y-types into runs too
+        a, b, c, d = (*map(len, _RUN.findall(ys[cut:] + ys[:cut])), 0, 0, 0)[:4]
+        lift_e = len(ys) - 2 * ys.count(Y2)
+        lift_tr = 2 + a * b + b * c + c * d + d * a + a * b * c * d
+    return lift_tr if (e - lift_e) % 12 == 0 else -lift_tr
+
+
 def are_conjugate(u: BraidWord, v: BraidWord) -> bool:
     """Exact conjugacy decision for three-strand braids.
 
     Conjugacy in the quotient is rotation of cyclically reduced words, so
-    ``_is_rotation`` compares the two cyclic cores, read as words in
+    ``is_rotation`` compares the two cyclic cores, read as words in
     L = X Y and R = X Y2; no canonical rotation is needed.  The exponent sum then pins down the central
     factor, because conjugating in the braid group cannot absorb a central
-    power.  The reduced syllables go to the cyclic core as bytes, with no
-    record built.
+    power.
     """
-    if exponent_sum(u) != exponent_sum(v):
-        return False
-    return _is_rotation(_cyclic_core(_reduce(u.letter_bytes)), _cyclic_core(_reduce(v.letter_bytes)))
+    return exponent_sum(u) == exponent_sum(v) and is_rotation(word_core(u), word_core(v))
 
 
-def _is_rotation(a: bytes, b: bytes) -> bool:
+def is_rotation(a: bytes, b: bytes) -> bool:
     """Whether the cyclic cores ``a`` and ``b`` are rotations of each other.
 
     Cores of at most one syllable (the identity and the torsion classes X,

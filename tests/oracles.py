@@ -7,7 +7,10 @@ conjugators exhaustively instead of deciding conjugacy in the quotient,
 ``matrix_equal_in_b3`` compares matrices and exponent sums instead of
 deciding equality in the quotient,
 ``two_sign_candidate_pq`` solves the candidate quadratic for both signs of
-the homology order instead of the signed trace, ``table_label`` writes
+the homology order instead of the signed trace,
+``old_is_two_bridge_closure`` takes the trace from the matrix and tests
+each candidate with ``are_conjugate``, where the library reads the trace
+off the word's cyclic core and reduces the word once, ``table_label`` writes
 the theorem's labels out by cell instead of reading them off the witness,
 ``fraction_from_conway_by_fractions`` evaluates Conway tuples with
 ``fractions.Fraction`` instead of integer continuants, and the ``old_``
@@ -23,7 +26,9 @@ letter by letter, where the library translates its letter bytes, and
 ``old_cyclic_core`` strips one pair of ends per step, where the library
 finds the pairs that cancel by doubling and bisection, and
 ``old_is_rotation`` searches a core in the other written twice, where the
-library searches their Y-type syllables alone.  ``old_check_grid`` checks
+library searches their Y-type syllables alone.  ``lr_runs`` counts the
+runs of L and R of a core by ``groupby``, where the library counts their
+boundaries, and ``core_runs`` reads them off the core of those two.  ``old_check_grid`` checks
 every cell of a grid, where the library checks each row from its ends.
 ``old_pairs`` solves the candidate quadratic in p and q with a parity
 test, where the library solves it in the odd factors 2p+1 and 2q+1, and
@@ -41,16 +46,17 @@ from itertools import groupby
 from typing import Iterator, Optional
 
 from gofknots import words
-from gofknots.burau import SL2Matrix, homology_order, represent
-from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace
-from gofknots.modular import X, Y, Y2, FreeProductWord
+from gofknots.burau import SL2Matrix, homology_order, represent, trace
+from gofknots.classify import ExceptionL72, HopfPlumbing, Label, NotLensSpace, _pairs
+from gofknots.modular import X, Y, Y2, FreeProductWord, are_conjugate
 from gofknots.twobridge import (
     ConwayTuple,
     DegenerateNotationError,
     NotTwoBridgeLinkError,
     TwoBridgeForm,
+    normalize_two_bridge,
 )
-from gofknots.words import BraidParseError, BraidWord, exponent_sum
+from gofknots.words import BraidParseError, BraidWord, exponent_sum, standard_form
 
 _PSL_IMAGES = {
     X: SL2Matrix(0, -1, 1, 0),
@@ -145,6 +151,20 @@ def two_sign_candidate_pq(w: BraidWord) -> list[tuple[int, int]]:
             if pair not in pairs:
                 pairs.append(pair)
     return pairs
+
+
+def old_is_two_bridge_closure(w: BraidWord) -> Optional[tuple[TwoBridgeForm, tuple[int, int]]]:
+    """The earlier closure decision, kept verbatim as a reference: the
+    candidates from the exponent sum and the trace of the matrix, each
+    settled by ``are_conjugate``, which reduces the word again per
+    candidate.  Candidates with |p| + |q| > len(w) + 5 are skipped unbuilt;
+    a witness with 2pq + p + q = 0 (the unlink) gives None."""
+    bound = len(w) + 5
+    for p, q in _pairs(exponent_sum(w), trace(w)):
+        if abs(p) + abs(q) <= bound and are_conjugate(w, standard_form(p, q)):
+            alpha = 2 * p * q + p + q
+            return (normalize_two_bridge(alpha, 2 * q + 1), (p, q)) if alpha else None
+    return None
 
 
 def table_label(k: int, n: int) -> Label:
@@ -393,6 +413,23 @@ def old_is_rotation(a: bytes, b: bytes) -> bool:
     """The earlier rotation test of two cyclic cores, over every syllable,
     kept verbatim as a reference."""
     return len(a) == len(b) and b in a + a
+
+
+def lr_runs(core: bytes) -> int:
+    """Runs of L = X Y and R = X Y2 in a cyclic core, one per maximal group
+    of equal Y-types, counted cyclically by ``groupby``; 0 for the torsion
+    cores."""
+    if len(core) < 2:
+        return 0
+    y_types = [syllable for syllable in core if syllable != X]
+    runs = len([key for key, _ in groupby(y_types)])
+    return runs - 1 if runs > 1 and y_types[0] == y_types[-1] else runs
+
+
+def core_runs(w: BraidWord) -> int:
+    """``lr_runs`` of the cyclic core of ``w``, reduced letter by letter by
+    ``old_project`` and ``old_cyclic_core``."""
+    return lr_runs(old_cyclic_core(old_project(w).syllables))
 
 
 def old_check_grid(k_values, n_values) -> None:

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from gofknots import burau, classify, words
+from gofknots import burau, classify, modular, words
 from gofknots.burau import homology_order, trace
 from gofknots.classify import (
     ExceptionL72,
@@ -21,7 +21,7 @@ from gofknots.classify import (
     table_cells,
 )
 from gofknots.cli import result_to_record
-from gofknots.modular import _cyclic_core, are_conjugate, equal_in_b3, project
+from gofknots.modular import _cyclic_core, are_conjugate, core_trace, equal_in_b3, project, word_core
 from gofknots.twobridge import (
     TwoBridgeForm,
     lens_space,
@@ -39,9 +39,13 @@ from gofknots.words import (
     standard_form,
 )
 from oracles import (
+    core_runs,
+    lr_runs,
     matrix_equal_in_b3,
     old_check_grid,
+    old_is_two_bridge_closure,
     old_pairs,
+    scramble,
     table_label,
     two_sign_candidate_pq,
 )
@@ -143,6 +147,8 @@ class TestSignedTraceCandidates:
                 (p, q) for p, q in two_sign_candidate_pq(word)
                 if 2 * p * q + p + q == signed
             ]
+            if core_runs(word) > 4:  # no standard form's core has more runs
+                expected = []
             assert candidate_pq(word) == expected, word
             assert len(expected) <= 2
 
@@ -157,6 +163,70 @@ class TestSignedTraceCandidates:
     def test_closure_equals_two_sign_decision_on_random_words(self):
         for word in random_words(8, 5000, 30):
             assert is_two_bridge_closure(word) == two_sign_closure(word), word
+
+
+def assert_old_route(word):
+    """The closure verdict equals the earlier matrix route's, and the trace
+    read off the core equals the matrix trace wherever there is one."""
+    assert is_two_bridge_closure(word) == old_is_two_bridge_closure(word), word
+    tr = core_trace(word_core(word), exponent_sum(word))
+    assert tr is None or tr == trace(word), word
+
+
+class TestOneReduction:
+    """is_two_bridge_closure reduces the word once, reads its candidates off
+    the cyclic core and compares cores: no matrix, the old verdicts."""
+
+    def test_the_word_is_reduced_once_per_decision(self, monkeypatch):
+        reduced, built = [], []
+        reduce, form = modular._reduce, classify.standard_form
+        monkeypatch.setattr(modular, "_reduce", lambda data: reduced.append(data) or reduce(data))
+        monkeypatch.setattr(classify, "standard_form", lambda p, q: built.append((p, q)) or form(p, q))
+        words = [*acceptance_grid(), *random_words(5, 300, 30), parse_braid("a B a a B B a B a a a B")]
+        for word in words:
+            reduced.clear()
+            built.clear()
+            is_two_bridge_closure(word)
+            assert reduced == [word.letter_bytes, *(standard_form(p, q).letter_bytes for p, q in built)], word
+        assert sum(bool(candidate_pq(word)) for word in words) > 100
+        # a cell without a candidate is never reduced
+        reduced.clear()
+        assert classify_gof(5, 7).witness is None
+        assert reduced == []
+
+    def test_old_route_on_random_words(self):
+        rng = random.Random(12)
+        for _ in range(30_000):
+            assert_old_route(BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 24)))))
+
+    def test_old_route_on_standard_forms_and_mirrors(self):
+        for p in range(-30, 31):
+            for q in range(-30, 31):
+                assert_old_route(standard_form(p, q))
+                assert_old_route(mirror(standard_form(p, q)))
+
+    def test_old_route_on_the_acceptance_grid(self):
+        for word in acceptance_grid():
+            assert_old_route(word)
+
+    def test_old_route_on_scrambled_standard_forms(self):
+        # conjugates of 10,000 letters and more, and near misses one letter off
+        for trial, (p, q) in enumerate(((5, 7), (-4, 9), (-6, -3), (0, 11))):
+            g = next(random_words(trial, 1, 9))
+            word = conjugate_by(scramble(standard_form(p, q), trial, 3_200), g)
+            assert len(word) >= 10_000
+            assert is_two_bridge_closure(word)[1] in ((p, q), (q, p))
+            assert_old_route(word)
+            assert_old_route(concat(word, BraidWord((1,))))
+
+    def test_standard_forms_have_four_runs_at_most(self):
+        # the bound of candidate_pq's proof, and the trace 2 - (2pq + p + q)
+        for p in range(-60, 61):
+            for q in range(-60, 61):
+                word = standard_form(p, q)
+                core = word_core(word)
+                assert lr_runs(core) <= 4, (p, q)
+                assert core_trace(core, p + q + 1) == 2 - (2 * p * q + p + q), (p, q)
 
 
 class TestLabelsFromTheWitness:
@@ -426,8 +496,10 @@ class TestCellClosedForm:
         walk = burau.represent
         monkeypatch.setattr(burau, "represent", lambda w: calls.append(w) or walk(w))
         assert is_two_bridge_closure(beta(-3, 5)) is not None
-        assert len(calls) == 1  # the counter sees the word path
-        calls.clear()
+        for word in (beta(5, 7), standard_form(5, 7), parse_braid("a B a a B B a B a a a B")):
+            is_two_bridge_closure(word)
+            candidate_pq(word)
+        assert calls == []  # the word path reads its trace off the cyclic core
         for k, n in ((-3, 5), (3, -5), (1, 3), (-1, 2), (5, -13), (5, 7), (-49, 200)):
             classify_gof(k, n)
         scan_table(range(-9, 10, 2), range(-30, 31))
@@ -479,6 +551,9 @@ class TestScanTable:
     def test_inputs_are_deduplicated_and_sorted(self):
         results = scan_table([3, 1, 1], [5, 5, -5])
         assert [(r.k, r.n) for r in results] == [(1, -5), (1, 5), (3, -5), (3, 5)]
+        # a range of negative step is sorted too, not read in its own order
+        results = scan_table([1], range(3, -4, -1))
+        assert [r.n for r in results] == list(range(-3, 4))
 
     def test_cells_are_classified_as_they_are_read(self, monkeypatch):
         seen = []

@@ -149,24 +149,59 @@ class TestClosureCommand:
 
 class TestClassifyCommand:
     def test_text_output(self):
-        code, out, _ = run_cli("classify", "-3", "5")
-        assert code == 0
-        assert out == (
-            "k: -3\n"
-            "n: 5\n"
-            "word: B A B B A B B A B a a a a a\n"
-            "is_two_bridge: true\n"
-            "alpha: 7\n"
-            "beta: 2\n"
-            "lens_p: 7\n"
-            "lens_q: 2\n"
-            "witness_p: -2\n"
-            "witness_q: -3\n"
-            "mirrored: false\n"
-            "label: ExceptionL72(+1)\n"
-            "description: (-1)-Dehn surgery on the plumbing of a 7-Hopf band "
-            "and a (+1)-Hopf band; knot in L(7,2)\n"
-        )
+        # the exception in L(7,2), a plumbing with r != 0, and the exception
+        # in the mirror class L(7,3): each label kind has its own description
+        golden = {
+            ("-3", "5"): (
+                "k: -3\n"
+                "n: 5\n"
+                "word: B A B B A B B A B a a a a a\n"
+                "is_two_bridge: true\n"
+                "alpha: 7\n"
+                "beta: 2\n"
+                "lens_p: 7\n"
+                "lens_q: 2\n"
+                "witness_p: -2\n"
+                "witness_q: -3\n"
+                "mirrored: false\n"
+                "label: ExceptionL72(+1)\n"
+                "description: (-1)-Dehn surgery on the plumbing of a 7-Hopf band "
+                "and a (+1)-Hopf band; knot in L(7,2)\n"
+            ),
+            ("1", "3"): (
+                "k: 1\n"
+                "n: 3\n"
+                "word: b a b a a a\n"
+                "is_two_bridge: true\n"
+                "alpha: 5\n"
+                "beta: 1\n"
+                "lens_p: 5\n"
+                "lens_q: 1\n"
+                "witness_p: 5\n"
+                "witness_q: 0\n"
+                "mirrored: false\n"
+                "label: HopfPlumbing(r=5,band=+1)\n"
+                "description: plumbing of a 5-Hopf band and a (+1)-Hopf band in L(5,1)\n"
+            ),
+            ("3", "-5"): (
+                "k: 3\n"
+                "n: -5\n"
+                "word: b a b b a b b a b A A A A A\n"
+                "is_two_bridge: true\n"
+                "alpha: 7\n"
+                "beta: 3\n"
+                "lens_p: 7\n"
+                "lens_q: 3\n"
+                "witness_p: 2\n"
+                "witness_q: 1\n"
+                "mirrored: false\n"
+                "label: ExceptionL72(-1)\n"
+                "description: (+1)-Dehn surgery on the plumbing of a (-7)-Hopf band "
+                "and a (-1)-Hopf band; knot in the mirror class L(7,3)\n"
+            ),
+        }
+        for (k, n), expected in golden.items():
+            assert run_cli("classify", k, n) == (0, expected, ""), (k, n)
 
     def test_unlink_cell_text_output(self):
         assert run_cli("classify", "1", "-2") == (

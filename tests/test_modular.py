@@ -6,18 +6,20 @@ from itertools import product
 
 import pytest
 
-from gofknots.burau import represent
+from gofknots.burau import represent, trace
 from gofknots.modular import (
     X,
     Y,
     Y2,
     FreeProductWord,
     _cyclic_core,
-    _is_rotation,
     are_conjugate,
+    core_trace,
     cyclic_normal_form,
     equal_in_b3,
+    is_rotation,
     project,
+    word_core,
 )
 from gofknots.words import (
     BraidWord,
@@ -31,6 +33,7 @@ from gofknots.words import (
 )
 
 from oracles import (
+    core_runs,
     find_conjugator_brute,
     matrix_equal_in_b3,
     old_cyclic_core,
@@ -297,7 +300,7 @@ class TestIsRotation:
         for a in cores:
             for b in cores:
                 if a != b:
-                    verdict = _is_rotation(a, b)
+                    verdict = is_rotation(a, b)
                     assert verdict is old_is_rotation(a, b), (a, b)
                     verdicts.add(verdict)
         assert len(cores) > 100 and verdicts == {True, False}, len(cores)
@@ -313,10 +316,58 @@ class TestIsRotation:
         rotations = 0
         for a in cores:
             for b in cores:
-                verdict = _is_rotation(a, b)
+                verdict = is_rotation(a, b)
                 assert verdict is old_is_rotation(a, b), (a, b)
                 rotations += verdict and a != b
         assert rotations > 0
+
+
+def central(d):
+    """h^d, h = (s1 s2)^3: central, of exponent sum 6d and matrix (-I)^d."""
+    return BraidWord((1, 2) * 3 * d if d >= 0 else (-2, -1) * -3 * d)
+
+
+class TestCoreTrace:
+    """The trace read off the cyclic core against the matrix."""
+
+    def test_torsion_cores_and_their_central_multiples(self):
+        # 1, s1 s2 s1, s1^-1 s2^-1 and s2 s1 times h^d, h = (s1 s2)^3 of matrix -I
+        for text, core in (("", b""), ("a b a", bytes((X,))), ("A B", bytes((Y,))), ("b a", bytes((Y2,)))):
+            for d in range(-3, 4):
+                word = concat(parse_braid(text), central(d))
+                assert word_core(word) == core, (text, d)
+                assert core_trace(core, exponent_sum(word)) == trace(word), (text, d)
+
+    def test_random_words_up_to_four_runs(self):
+        # None exactly past four runs, counted letter by letter; else the
+        # matrix trace, the sign of the central power included
+        rng = random.Random(11)
+        read = 0
+        for _ in range(30_000):
+            word = BraidWord(tuple(rng.choice((1, -1, 2, -2)) for _ in range(rng.randint(0, 24))))
+            tr = core_trace(word_core(word), exponent_sum(word))
+            if core_runs(word) > 4:
+                assert tr is None, word
+            else:
+                assert tr == trace(word), word
+                read += 1
+        assert read == 28_373
+
+    def test_runs_across_the_end_of_the_core(self):
+        # every rotation of L^a R^b L^c R^d times h^s: the runs are cut at every place
+        for a, b, c, d in product((1, 2, 3), (1, 2), (0, 1, 2), (0, 1, 3)):
+            lift = (1,) * a + (-2,) * b + (1,) * c + (-2,) * d
+            for shift in range(len(lift)):
+                for s in (-1, 0, 1):
+                    word = concat(BraidWord(lift[shift:] + lift[:shift]), central(s))
+                    assert core_trace(word_core(word), exponent_sum(word)) == trace(word), (lift, shift, s)
+
+    def test_five_runs_and_more_have_no_trace(self):
+        for m in (3, 4, 10):
+            word = BraidWord((1, -2) * m)
+            assert core_trace(word_core(word), exponent_sum(word)) is None
+        word = BraidWord((1, -2, 1, -2, -2))  # L R L R^2: four runs, read
+        assert core_trace(word_core(word), exponent_sum(word)) == trace(word)
 
 
 class TestAreConjugate:

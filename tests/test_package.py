@@ -1,5 +1,6 @@
 """The package namespace re-exports exactly the layers' public names, no
-layer borrows another's private names, every function the benchmark
+layer borrows another's private names, classify imports nothing from
+burau, every function the benchmark
 traces by name exists, every source file parses under the Python 3.10
 grammar, and the command runs as a module without loading dataclasses,
 json, typing or random at start-up."""
@@ -92,6 +93,18 @@ def test_the_syllable_metrics_read_the_length_of_a_free_product_word():
     assert len(fw) == len(fw.syllables) > 0
     assert how["modular.project.syllables_out"].value((None,), fw) == len(fw)
     assert how["modular.cyclic_normal_form.syllables"].value((fw,), None) == len(fw)
+
+
+def test_classify_imports_nothing_from_burau():
+    # the closure decision reads its trace off the cyclic core: no matrix
+    path = PACKAGE_DIR / "classify.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            imported += [name for name in names if name.split(".")[-1] == "burau"]
+    assert imported == []
+    assert "burau" not in vars(classify)
 
 
 def test_no_module_imports_a_private_name():

@@ -4,8 +4,9 @@ run-wise matrix against their letter-by-letter references, a pair table
 that starts empty and holds pairs of block images only, a cost per run
 that does not grow with the length of the run, a projection cost of one
 step per eight letters on random words, a cyclic core whose cost does not
-grow with the ends that cancel, and a periodic conjugacy verdict whose cost
-does not grow with the period."""
+grow with the ends that cancel, a periodic conjugacy verdict whose cost
+does not grow with the period, and a closure decision past four runs whose
+cost past its one reduction does not grow with the runs."""
 
 import gc
 import os
@@ -19,6 +20,7 @@ import pytest
 
 from gofknots import modular
 from gofknots.burau import represent
+from gofknots.classify import is_two_bridge_closure
 from gofknots.modular import FreeProductWord, _cyclic_core, are_conjugate, equal_in_b3, project
 from gofknots.words import BraidWord, beta, concat, conjugate_by, inverse, parse_braid, run_ends
 
@@ -266,9 +268,16 @@ def _line_events(function, w):
     return count
 
 
+def two_long_runs_of_one_letter(m):
+    """s1^m s2 s1^m s2^-1: the second long run of s1 is found from where the
+    first ended, not by steps of eight letters."""
+    return BraidWord((1,) * m + (2,) + (1,) * m + (-2,))
+
+
 @pytest.mark.parametrize("function", [project, represent], ids=["project", "represent"])
 def test_steps_per_run_do_not_grow_with_the_run(function):
-    assert _line_events(function, periodic(10)) == _line_events(function, periodic(100_000))
+    for family in (periodic, two_long_runs_of_one_letter):
+        assert _line_events(function, family(10)) == _line_events(function, family(100_000)), family
 
 
 def test_a_periodic_verdict_costs_the_same_steps_for_any_period():
@@ -280,6 +289,20 @@ def test_a_periodic_verdict_costs_the_same_steps_for_any_period():
 
     assert verdict(periodic(100_000))
     assert _line_events(verdict, periodic(10)) == _line_events(verdict, periodic(100_000))
+
+
+def test_a_closure_decision_past_four_runs_costs_one_reduction_and_fixed_steps():
+    # (s1 s2^-1)^m has the core (L R)^m, 2m runs: no trace, no candidate,
+    # and past its one reduction the decision takes the same steps for 10
+    # runs as for 10,000, since the runs are counted at C speed.
+    def extra(w):
+        return _line_events(is_two_bridge_closure, w) - _line_events(project, w)
+
+    def alternating(m):
+        return BraidWord((1, -2) * m)
+
+    assert is_two_bridge_closure(alternating(5_000)) is None
+    assert extra(alternating(5)) == extra(alternating(5_000))
 
 
 def test_a_random_word_costs_one_step_per_four_letters():
